@@ -25,7 +25,6 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--trace", default="0")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -38,7 +37,7 @@ def main():
     for seed in range(args.first_seed, args.first_seed + args.runs):
         run = subprocess.run(
             command + ["--workload", args.workload, "--seed", str(seed),
-                       "--seconds", seconds, "--trace", args.trace],
+                       "--seconds", seconds, "--trace", "0"],
             cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             text=True)
         lines = run.stdout.strip().splitlines()

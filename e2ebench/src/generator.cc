@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -74,6 +75,11 @@ uint64_t ReleaseNs(const Request& r) { return r.retry_ns ? r.retry_ns : r.due_ns
 // keeps the daemon's per-connection output buffer far from its limit.
 constexpr size_t kMaxOutstanding = 32;
 
+// The daemon's workers can keep every core busy. It runs at this lower
+// priority so the generator thread, which needs little CPU but needs it on
+// time, is not queued behind them and keeps its open-loop schedule.
+constexpr int kDaemonNice = 5;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -108,6 +114,7 @@ Result<double> Daemon::Start(int timeout_ms) {
     return Status::Internal("fork failed");
   }
   if (pid == 0) {
+    (void)::setpriority(PRIO_PROCESS, 0, kDaemonNice);
     ::dup2(log_fd, STDOUT_FILENO);
     ::dup2(log_fd, STDERR_FILENO);
     ::close(log_fd);
@@ -224,9 +231,8 @@ void Generator::SendLine(int conn_index, const std::string& line,
   conn.out += line;
   conn.out += '\n';
   conn.expect.emplace_back(expect, index);
-  if (recording_) {
-    wire_bytes_ += line.size() + 1;
-    if (expect != Expect::kCall) requests_[index].lines.push_back(line);
+  if (recording_ && expect != Expect::kCall) {
+    requests_[index].lines.push_back(line);
   }
   (void)FlushOut(&conn);
 }
@@ -287,6 +293,9 @@ void Generator::Finish(size_t index, Request::State state,
                        const std::string& outcome,
                        const std::function<void(size_t)>& on_done) {
   Request& r = requests_[index];
+  // A late reply to a request FailOpen already gave up on.
+  if (r.state == Request::State::kDone || r.state == Request::State::kFailed)
+    return;
   r.state = state;
   r.outcome = outcome;
   r.end_ns = NowNs();
@@ -349,6 +358,13 @@ Status Generator::HandleLine(int conn_index, const std::string& line,
     return Status::OK();
   }
   Request& r = requests_[index];
+  if (r.state == Request::State::kFailed) {
+    // Given up on by FailOpen. An acknowledged submit is not subscribed to,
+    // so its stream slot is free again; a subscribed one keeps the slot
+    // until its done frame arrives.
+    if (expect == Expect::kSubmitAck) conn.stream = -1;
+    return Status::OK();
+  }
   if (recording_) r.lines.push_back(line);
   const bool ok = serve::IsOkResponse(msg);
   switch (expect) {
@@ -407,7 +423,6 @@ Status Generator::ReadConn(int conn_index,
   for (;;) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      if (recording_) wire_bytes_ += static_cast<uint64_t>(n);
       conn.in.append(buf, static_cast<size_t>(n));
       continue;
     }

@@ -113,13 +113,13 @@ class Generator {
   slicetuner::Result<slicetuner::json::Value> Call(
       const slicetuner::serve::Request& request, int timeout_ms = 30000);
 
-  /// Count wire bytes and keep per-request lines while set.
+  /// Keep per-request wire lines while set.
   void set_recording(bool on) { recording_ = on; }
-  uint64_t wire_bytes() const { return wire_bytes_; }
   /// Submits shed with retry hints are retried until this time; later
   /// sheds fail the job.
   void set_retry_deadline(uint64_t ns) { retry_deadline_ns_ = ns; }
-  /// Requests unfinished after Run's deadline, marked failed by FailOpen().
+  /// Marks every unfinished request failed and returns how many there were.
+  /// Replies that arrive for them later are dropped.
   size_t FailOpen(const std::string& why);
 
  private:
@@ -154,7 +154,6 @@ class Generator {
   std::deque<size_t> waiting_polls_;
   size_t open_ = 0;  // added but unfinished
   bool recording_ = false;
-  uint64_t wire_bytes_ = 0;
   uint64_t retry_deadline_ns_ = 0;
   slicetuner::json::Value call_reply_;
   bool call_done_ = false;

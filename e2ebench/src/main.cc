@@ -62,7 +62,6 @@ struct Options {
   double seconds = 10.0;
   bool trace = false;
   bool selftest = false;
-  bool tiny = false;
   std::string out = ".bench_out";
   std::string serve_bin = E2EBENCH_SERVE_BIN;
   std::string commit = "unknown";
@@ -77,7 +76,7 @@ Result<Options> ParseArgs(int argc, char** argv) {
     if (eq != std::string::npos) {
       value = arg.substr(eq + 1);
       arg = arg.substr(0, eq);
-    } else if (arg != "--selftest" && arg != "--tiny") {
+    } else if (arg != "--selftest") {
       if (i + 1 >= argc) return Status::InvalidArgument(arg + " needs a value");
       value = argv[++i];
     }
@@ -97,8 +96,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       o.commit = value;
     } else if (arg == "--selftest") {
       o.selftest = true;
-    } else if (arg == "--tiny") {
-      o.tiny = true;
     } else {
       return Status::InvalidArgument("unknown flag " + arg);
     }
@@ -200,7 +197,7 @@ class Runner {
   Status StartDaemon(LiveRun* run);
   void AddPrelude();
   void AddTimed(uint64_t t0, std::vector<PlannedRequest> schedule);
-  void AddClient(int conn, bool probe, uint64_t due);
+  void AddClient(int conn, uint64_t due);
   void OnDone(size_t index);
   void NoteSubmit(size_t index);
   void Summarize(LiveRun* run, uint64_t t0, uint64_t end);
@@ -219,15 +216,13 @@ class Runner {
   std::unordered_map<size_t, size_t> job_index_;  // request -> job in session
   // Closed loop: which client issued a request, and each client's state.
   struct Client {
-    bool probe = false;  // heavy probe: heavy jobs only
     int iteration = 0;
     int phase = 0;  // 0 heavy, 1 poll, 2 light
     ClosedStep step;
   };
   std::vector<Client> clients_;
   std::unordered_map<size_t, int> owner_;
-  uint64_t phase_end_ = 0;      // closed-loop clients start nothing after it
-  size_t first_probe_ = ~size_t{0};  // first request of the heavy probe
+  uint64_t phase_end_ = 0;  // closed-loop clients start nothing after it
   std::string state_dir_;
 };
 
@@ -305,21 +300,15 @@ void Runner::AddTimed(uint64_t t0, std::vector<PlannedRequest> schedule) {
     }
     return;
   }
-  for (int c = 0; c < config_.connections; ++c) AddClient(c, false, t0);
+  for (int c = 0; c < config_.connections; ++c) AddClient(c, t0);
 }
 
-void Runner::AddClient(int conn, bool probe, uint64_t due) {
+void Runner::AddClient(int conn, uint64_t due) {
   Client client;
-  client.probe = probe;
+  client.step = ClosedLoopStep(config_, o_.seed, conn, 0);
   Request r;
   r.cls = JobClass::kHeavy;
-  if (probe) {
-    client.iteration = conn;
-    r.job = ProbeJob(config_, o_.seed, conn);
-  } else {
-    client.step = ClosedLoopStep(config_, o_.seed, conn, 0);
-    r.job = client.step.heavy;
-  }
+  r.job = client.step.heavy;
   if (clients_.size() <= static_cast<size_t>(conn)) clients_.resize(conn + 1);
   clients_[static_cast<size_t>(conn)] = client;
   r.conn = conn;
@@ -341,11 +330,7 @@ void Runner::OnDone(size_t index) {
   Request r;
   r.conn = c;
   r.due_ns = now;
-  if (client.probe) {
-    r.cls = JobClass::kHeavy;
-    client.iteration += config_.connections;
-    r.job = ProbeJob(config_, o_.seed, client.iteration);
-  } else if (client.phase == 0) {
+  if (client.phase == 0) {
     client.phase = 1;
     r.kind = Request::Kind::kPoll;
     r.target = ClosedHeavyName(config_, c, client.step.poll_iteration);
@@ -393,16 +378,13 @@ void Runner::Summarize(LiveRun* run, uint64_t t0, uint64_t end) {
       continue;
     }
     const bool is_heavy = r.cls == JobClass::kHeavy;
-    const bool probe = i >= first_probe_;
     (is_heavy ? heavy : light).push_back(r.latency_ms());
     const double limit =
         is_heavy ? config_.heavy_limit_ms : config_.light_limit_ms;
-    if (!probe &&
-        (config_.closed_loop ? r.end_ns <= end : r.latency_ms() <= limit)) {
+    if (config_.closed_loop ? r.end_ns <= end : r.latency_ms() <= limit) {
       good += 1;
     }
     LiveJob job;
-    job.probe = probe;
     job.session = r.job.session;
     job.job_index = job_index_[i];
     job.cls = r.cls;
@@ -445,14 +427,18 @@ void Runner::Summarize(LiveRun* run, uint64_t t0, uint64_t end) {
   run->metrics = {
       {"setup_s", Quantile(run->setup_s, 0.5), "s"},
       {"jobs_per_s", good / seconds, "1/s"},
-      {"heavy_latency_p50_ms", Quantile(heavy, 0.5), "ms"},
-      {"heavy_latency_p99_ms", Quantile(heavy, 0.99), "ms"},
+  };
+  if (HasHeavyJobs(config_)) {
+    run->metrics.push_back({"heavy_latency_p50_ms", Quantile(heavy, 0.5), "ms"});
+    run->metrics.push_back({"heavy_latency_p99_ms", Quantile(heavy, 0.99), "ms"});
+  }
+  run->metrics.insert(run->metrics.end(), {
       {"light_latency_p50_ms", Quantile(light, 0.5), "ms"},
       {"light_latency_p99_ms", Quantile(light, 0.99), "ms"},
       {"poll_latency_p99_ms", Quantile(polls, 0.99), "ms"},
       {"admit_ratio", 1.0 - shed_ratio, "ratio"},
       {"ok_ratio", 1.0 - failed_ratio, "ratio"},
-  };
+  });
   run->info = {
       {"shed_ratio", shed_ratio, "ratio"},
       {"failed_ratio", failed_ratio, "ratio"},
@@ -461,10 +447,8 @@ void Runner::Summarize(LiveRun* run, uint64_t t0, uint64_t end) {
       {"heavy_jobs", static_cast<double>(heavy.size()), "count"},
       {"light_jobs", static_cast<double>(light.size()), "count"},
       {"polls", static_cast<double>(polls.size()), "count"},
-      {"wire_bytes", static_cast<double>(gen_->wire_bytes()), "B"},
       {"timed_seconds", seconds, "s"},
   };
-  run->trace.wire_bytes = gen_->wire_bytes();
 }
 
 // Closing polls of every session, then the oracle replay over every clean
@@ -564,16 +548,15 @@ Result<LiveRun> Runner::Run() {
         " session(s) in " + std::to_string((NowNs() - t) / 1000000) + " ms");
   }
 
-  // Main phase. The schedule is generated before its clock starts.
-  const double main_seconds = o_.seconds * (1.0 - config_.heavy_probe_share);
+  // Timed phase. The schedule is generated before its clock starts.
   std::vector<PlannedRequest> schedule;
   if (!config_.closed_loop) {
-    schedule = OpenSchedule(config_, o_.seed, main_seconds);
+    schedule = OpenSchedule(config_, o_.seed, o_.seconds);
   }
   // Queueing a long schedule takes milliseconds: the first request is due
   // only once all of it is queued, so the start is not a burst of late ones.
   const uint64_t t0 = NowNs() + 20000000;
-  const uint64_t end = t0 + static_cast<uint64_t>(main_seconds * 1e9);
+  const uint64_t end = t0 + static_cast<uint64_t>(o_.seconds * 1e9);
   phase_end_ = end;
   const size_t first_timed = gen_->requests().size();
   AddTimed(t0, std::move(schedule));
@@ -592,18 +575,7 @@ Result<LiveRun> Runner::Run() {
     OnDone(index);
   };
   ST_RETURN_NOT_OK(gen_->Run(end + kDrainNs, on_done));
-  size_t unfinished = gen_->FailOpen("unfinished at the drain deadline");
-  if (config_.heavy_probe_share > 0) {
-    // Heavy probe on one connection, after the main phase has drained.
-    const uint64_t p0 = NowNs();
-    phase_end_ = p0 + static_cast<uint64_t>(o_.seconds *
-                                            config_.heavy_probe_share * 1e9);
-    gen_->set_retry_deadline(phase_end_);
-    first_probe_ = gen_->requests().size();
-    for (int c = 0; c < config_.connections; ++c) AddClient(c, true, p0);
-    ST_RETURN_NOT_OK(gen_->Run(phase_end_ + kDrainNs, on_done));
-    unfinished += gen_->FailOpen("unfinished at the drain deadline");
-  }
+  const size_t unfinished = gen_->FailOpen("unfinished at the drain deadline");
   gen_->set_recording(false);
   if (unfinished > 0) Log(std::to_string(unfinished) + " request(s) unfinished");
   for (size_t i = first_timed; i < gen_->requests().size(); ++i) {
@@ -664,7 +636,7 @@ void PrintTable(const std::string& title, const MetricList& metrics) {
 }
 
 int RunOne(const Options& o) {
-  Result<WorkloadConfig> config = GetWorkload(o.workload, o.tiny);
+  Result<WorkloadConfig> config = GetWorkload(o.workload, /*tiny=*/false);
   if (!config.ok()) {
     Log(config.status().ToString());
     return 2;
@@ -773,7 +745,6 @@ int SelfTest(const Options& base) {
     o.workload = name;
     o.seed = 7;
     o.seconds = 1.0;
-    o.tiny = true;
     o.trace = true;
     std::error_code ignored;
   fs::create_directories(o.out, ignored);
@@ -785,11 +756,17 @@ int SelfTest(const Options& base) {
     check(run->correct, name + ": outcomes verified");
     std::map<std::string, std::string> units;
     for (const Metric& m : run->metrics) units[m.name] = m.unit;
-    for (const char* metric :
-         {"setup_s", "jobs_per_s", "heavy_latency_p50_ms",
-          "heavy_latency_p99_ms", "light_latency_p50_ms",
-          "light_latency_p99_ms", "poll_latency_p99_ms", "admit_ratio",
-          "ok_ratio", "oracle_match_ratio", "peak_rss_mb"}) {
+    std::vector<std::string> expected = {
+        "setup_s", "jobs_per_s", "light_latency_p50_ms",
+        "light_latency_p99_ms", "poll_latency_p99_ms", "admit_ratio",
+        "ok_ratio", "oracle_match_ratio", "peak_rss_mb"};
+    if (HasHeavyJobs(*config)) {
+      expected.push_back("heavy_latency_p50_ms");
+      expected.push_back("heavy_latency_p99_ms");
+    }
+    check(units.size() == expected.size(),
+          name + ": " + std::to_string(units.size()) + " end-to-end metrics");
+    for (const std::string& metric : expected) {
       check(units.count(metric) == 1 && !units[metric].empty(),
             name + ": end-to-end metric " + metric);
     }

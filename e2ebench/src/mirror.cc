@@ -572,22 +572,18 @@ Result<MetricList> RunTrace(const TraceInputs& in, Tracer* tracer) {
     if (layer == "core") layer = "opt";
     by_trace[span.trace_id][layer] += self[i];
   }
-  // Heavy-probe jobs are replayed for the layer figures but are not part
-  // of the main phase whose time is being attributed.
   double heavy_total = 0, light_total = 0;
   for (const LiveJob& job : in.jobs) {
-    if (!job.probe) ++(job.cls == JobClass::kHeavy ? heavy_total : light_total);
+    ++(job.cls == JobClass::kHeavy ? heavy_total : light_total);
   }
   double heavy_replayed = 0, light_replayed = 0;
   for (const Replayed& r : replayed) {
-    if (r.job->probe) continue;
     ++(r.job->cls == JobClass::kHeavy ? heavy_replayed : light_replayed);
   }
   std::map<std::string, double> layer_ns;
   double latency_ns = 0, queue_ns = 0, attributed_ns = 0, executed_ns = 0;
   double class_exec[2] = {0, 0}, class_model[2] = {0, 0};
   for (const Replayed& r : replayed) {
-    if (r.job->probe) continue;
     const bool is_heavy = r.job->cls == JobClass::kHeavy;
     const double weight = is_heavy ? heavy_total / heavy_replayed
                                    : light_total / light_replayed;
@@ -603,6 +599,13 @@ Result<MetricList> RunTrace(const TraceInputs& in, Tracer* tracer) {
   }
   auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
   auto share = [&](double ns) { return ratio(ns, executed_ns); };
+
+  // A job's own wire lines (submit, stream, their acks and frames), each
+  // with its newline.
+  double job_bytes = 0;
+  for (const LiveJob& job : in.jobs) {
+    for (const std::string& line : job.lines) job_bytes += line.size() + 1;
+  }
 
   size_t store_spans = 0;
   for (const Span& span : tracer->spans()) {
@@ -648,7 +651,7 @@ Result<MetricList> RunTrace(const TraceInputs& in, Tracer* tracer) {
   MetricList out = {
       {"protocol.parse_us_p50", SpanQuantile(*tracer, "serve.parse", 0.5, 1e3), "us"},
       {"protocol.bytes_per_job",
-       ratio(static_cast<double>(in.wire_bytes), static_cast<double>(in.jobs.size())), "B"},
+       ratio(job_bytes, static_cast<double>(in.jobs.size())), "B"},
       {"serve.register_us_p99", SpanQuantile(*tracer, "serve.register", 0.99, 1e3), "us"},
       {"serve.find_us_p99", SpanQuantile(*tracer, "serve.find", 0.99, 1e3), "us"},
       {"serve.sessions_resident", static_cast<double>(in.registry_size), "count"},

@@ -33,9 +33,6 @@ struct LiveJob {
   std::string session;
   size_t job_index = 0;  // position in SessionHistory::ops
   JobClass cls = JobClass::kLight;
-  /// Ran in the heavy probe phase: replayed, but not part of the main
-  /// phase's attribution.
-  bool probe = false;
   double latency_ms = 0.0;
   /// Its wire lines: submit, stream, their acks, frames.
   std::vector<std::string> lines;
@@ -45,8 +42,6 @@ struct TraceInputs {
   WorkloadConfig config;
   std::vector<SessionHistory> sessions;
   std::vector<LiveJob> jobs;
-  /// Bytes on the wire in both directions during the timed phase.
-  uint64_t wire_bytes = 0;
   /// Sessions the daemon held at the end of the run (`serve_sessions`).
   size_t registry_size = 0;
   /// The daemon's `metrics` reply after the run.

@@ -22,7 +22,6 @@ enum Stream : uint64_t {
   kHeavyStream = 4,
   kClosedStream = 5,
   kOrderStream = 6,
-  kProbeStream = 7,
 };
 
 // Poisson arrivals of one request kind over [0, seconds).
@@ -69,21 +68,22 @@ Result<WorkloadConfig> GetWorkload(const std::string& name, bool tiny) {
     c.prefix = "so";
     c.light_rate = 1000.0;
     c.poll_rate = 1000.0;
-    c.heavy_probe_share = 0.2;
     c.prefill_sessions = tiny ? 200 : 10000;
   } else if (name == "durable-mixed") {
     c.prefix = "dm";
     c.durable = true;
-    c.light_rate = 200.0;
+    c.light_rate = 100.0;
     c.poll_rate = 100.0;
     c.heavy_rate = 20.0;
     c.heavy_appends = true;
-    c.prep_heavy = tiny ? 8 : 128;
-    c.prep_light = tiny ? 64 : 2000;
-    // A checkpoint every ~1.2 s: a run sees about 25, so its light and poll
-    // tails measure checkpoint stalls instead of whether one happened to
+    // The registry starts at ~5000 sessions and grows by ~60 % in a run,
+    // so every checkpoint stalls it for a similar time. A checkpoint every
+    // ~1.7 s: a run sees about 18, so its tails measure checkpoint stalls
+    // (several percent of each class) instead of whether one happened to
     // land in the run.
-    c.snapshot_every_jobs = tiny ? 50 : 250;
+    c.prep_heavy = tiny ? 8 : 128;
+    c.prep_light = tiny ? 64 : 5000;
+    c.snapshot_every_jobs = tiny ? 50 : 200;
   } else {
     return Status::InvalidArgument("unknown workload '" + name + "'");
   }
@@ -107,8 +107,8 @@ JobSpec LightJob(const std::string& session, uint64_t seed) {
   JobSpec job;
   job.session = session;
   job.num_slices = 4;
-  job.rows_per_slice = 60;
-  job.budget = 40.0;
+  job.rows_per_slice = 20;
+  job.budget = 16.0;
   job.rounds = 2;
   job.method = "uniform";
   job.seed = seed;
@@ -125,12 +125,6 @@ JobSpec AppendJob(const std::string& session, int slice) {
   job.rounds = 1;
   job.method = "moderate";
   return job;
-}
-
-JobSpec ProbeJob(const WorkloadConfig& config, uint64_t seed, int index) {
-  const uint64_t job_seed =
-      Rng(seed).Fork(kProbeStream).ForkSeed(static_cast<uint64_t>(index));
-  return HeavyJob(config.prefix + "-hp-" + std::to_string(index), job_seed);
 }
 
 std::vector<JobSpec> PreludeJobs(const WorkloadConfig& config,
@@ -232,11 +226,6 @@ std::string StreamFingerprint(const WorkloadConfig& config, uint64_t seed,
   std::string out;
   for (const JobSpec& job : PreludeJobs(config, seed)) {
     out += job.ToJson().Dump() + "\n";
-  }
-  if (config.heavy_probe_share > 0) {
-    for (size_t i = 0; i < limit; ++i) {
-      out += ProbeJob(config, seed, static_cast<int>(i)).ToJson().Dump() + "\n";
-    }
   }
   if (config.closed_loop) {
     for (int conn = 0; conn < config.connections; ++conn) {

@@ -42,12 +42,6 @@ struct WorkloadConfig {
   /// of cold jobs on fresh sessions.
   bool heavy_appends = false;
 
-  /// Share of the run spent, after the main phase, in a heavy probe: one
-  /// connection running cold heavy jobs back to back on the otherwise idle
-  /// daemon. It gives heavy-job latencies to a workload whose main phase
-  /// must not train, without convoying that phase's light jobs.
-  double heavy_probe_share = 0.0;
-
   /// Finished light sessions created before timing starts (registry size).
   int prefill_sessions = 0;
 
@@ -67,6 +61,12 @@ struct WorkloadConfig {
   int setups = 5;
 };
 
+/// Whether the workload runs `moderate` jobs (serve-open does not, so it
+/// reports no heavy-job latencies).
+inline bool HasHeavyJobs(const WorkloadConfig& config) {
+  return config.closed_loop || config.heavy_rate > 0;
+}
+
 std::vector<std::string> WorkloadNames();
 /// `tiny` shrinks registry and state sizes for the self-test.
 slicetuner::Result<WorkloadConfig> GetWorkload(const std::string& name,
@@ -75,16 +75,12 @@ slicetuner::Result<WorkloadConfig> GetWorkload(const std::string& name,
 /// Cold curve-based job: 4 slices, 160 rows/slice, 2 rounds.
 slicetuner::serve::JobSpec HeavyJob(const std::string& session,
                                     uint64_t seed);
-/// Baseline job that trains nothing: 4 slices, 60 rows/slice, 2 rounds.
+/// Baseline job that trains nothing: 4 slices, 20 rows/slice, 2 rounds.
 slicetuner::serve::JobSpec LightJob(const std::string& session,
                                     uint64_t seed);
 /// Resubmission of a finished moderate session appending rows to one
 /// slice: the curve cache refits only that slice before the round.
 slicetuner::serve::JobSpec AppendJob(const std::string& session, int slice);
-
-/// The `index`-th job of the heavy probe phase.
-slicetuner::serve::JobSpec ProbeJob(const WorkloadConfig& config,
-                                    uint64_t seed, int index);
 
 /// Sessions that exist before timing starts: the prefill of a large
 /// registry, or the contents of the prepared state dir (heavy first).
