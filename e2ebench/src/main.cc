@@ -247,9 +247,7 @@ Status Runner::StartDaemon(LiveRun* run) {
       state_dir_ = Path("state") + "-" + std::to_string(k);
       RemoveTree(state_dir_);
       ST_RETURN_NOT_OK(CopyTree(prep, state_dir_));
-      daemon_args = {"--state-dir=" + state_dir_,
-                     "--snapshot-every-jobs=" +
-                         std::to_string(config_.snapshot_every_jobs)};
+      daemon_args = {"--state-dir=" + state_dir_};
     }
     daemon_ = std::make_unique<Daemon>(o_.serve_bin, daemon_args, log);
     ST_ASSIGN_OR_RETURN(const double seconds, daemon_->Start());
@@ -334,7 +332,7 @@ void Runner::OnDone(size_t index) {
     client.phase = 1;
     r.kind = Request::Kind::kPoll;
     r.target = ClosedHeavyName(config_, c, client.step.poll_iteration);
-  } else if (client.phase == 1 && client.step.with_light) {
+  } else if (client.phase == 1) {
     client.phase = 2;
     r.cls = JobClass::kLight;
     r.job = client.step.light;
@@ -435,11 +433,13 @@ void Runner::Summarize(LiveRun* run, uint64_t t0, uint64_t end) {
   run->metrics.insert(run->metrics.end(), {
       {"light_latency_p50_ms", Quantile(light, 0.5), "ms"},
       {"light_latency_p99_ms", Quantile(light, 0.99), "ms"},
-      {"poll_latency_p99_ms", Quantile(polls, 0.99), "ms"},
       {"admit_ratio", 1.0 - shed_ratio, "ratio"},
       {"ok_ratio", 1.0 - failed_ratio, "ratio"},
   });
+  // Reported, not gated: on the gated workloads a poll's p99 sits at the
+  // edge of rare host stalls (README.md).
   run->info = {
+      {"poll_latency_p99_ms", Quantile(polls, 0.99), "ms"},
       {"shed_ratio", shed_ratio, "ratio"},
       {"failed_ratio", failed_ratio, "ratio"},
       {"gen_late_p50_ms", Quantile(late, 0.5), "ms"},
@@ -758,7 +758,7 @@ int SelfTest(const Options& base) {
     for (const Metric& m : run->metrics) units[m.name] = m.unit;
     std::vector<std::string> expected = {
         "setup_s", "jobs_per_s", "light_latency_p50_ms",
-        "light_latency_p99_ms", "poll_latency_p99_ms", "admit_ratio",
+        "light_latency_p99_ms", "admit_ratio",
         "ok_ratio", "oracle_match_ratio", "peak_rss_mb"};
     if (HasHeavyJobs(*config)) {
       expected.push_back("heavy_latency_p50_ms");

@@ -25,16 +25,14 @@ struct WorkloadConfig {
   std::string name;
   /// Session-name prefix of everything this workload creates.
   std::string prefix;
+  /// Closed loop: every connection runs heavy job -> poll -> light job.
   bool closed_loop = false;
   /// Client connections (and stream slots: the protocol holds one stream
-  /// subscription per connection): 4, or nproc when that is smaller.
+  /// subscription per connection), never more than nproc.
   int connections = 4;
 
-  // Closed loop: every connection runs heavy job -> poll, and after every
-  // `light_every`-th heavy job also one light job.
-  int light_every = 0;
-
-  // Open loop: independent Poisson streams, per second.
+  // Open loop, per second: Poisson light jobs and polls, heavy jobs on a
+  // fixed cadence.
   double light_rate = 0.0;
   double poll_rate = 0.0;
   double heavy_rate = 0.0;
@@ -47,11 +45,10 @@ struct WorkloadConfig {
 
   /// Durable: the daemon runs with a state dir that the benchmark prepares
   /// from the seed, holding `prep_heavy` moderate and `prep_light` uniform
-  /// finished sessions, and checkpoints every `snapshot_every_jobs` jobs.
+  /// finished sessions.
   bool durable = false;
   int prep_heavy = 0;
   int prep_light = 0;
-  int snapshot_every_jobs = 0;
 
   /// Open-loop goodput counts jobs done within these limits.
   double light_limit_ms = 0.0;
@@ -105,8 +102,6 @@ std::vector<PlannedRequest> OpenSchedule(const WorkloadConfig& config,
 /// Iteration `iteration` of closed-loop connection `conn`.
 struct ClosedStep {
   slicetuner::serve::JobSpec heavy;
-  /// Present when the step also runs a light job.
-  bool with_light = false;
   slicetuner::serve::JobSpec light;
   /// The poll after the heavy job targets this earlier iteration's heavy
   /// session on the same connection (already finished).
