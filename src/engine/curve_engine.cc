@@ -348,7 +348,10 @@ Result<size_t> CurveEstimationEngine::RestoreState(
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  cache_.assign(expected_hashes.size(), Entry{});
+  // An engine that never estimated serializes an unsized cache; restoring
+  // it unsized keeps SerializeState a faithful round trip.
+  const bool sized = state.GetInt("num_slices", 1) != 0;
+  cache_.assign(sized ? expected_hashes.size() : 0, Entry{});
   has_fingerprint_ = false;
   if (const json::Value* fp = state.Find("fingerprint")) {
     ST_ASSIGN_OR_RETURN(fingerprint_, ParseHexU64(fp->string_value()));
@@ -358,8 +361,7 @@ Result<size_t> CurveEstimationEngine::RestoreState(
   size_t installed = 0;
   for (const json::Value& entry : entries->items()) {
     const long long slice = entry.GetInt("slice", -1);
-    if (slice < 0 ||
-        static_cast<size_t>(slice) >= expected_hashes.size()) {
+    if (slice < 0 || static_cast<size_t>(slice) >= cache_.size()) {
       continue;  // slice count changed since the snapshot; skip
     }
     ST_ASSIGN_OR_RETURN(const uint64_t hash,

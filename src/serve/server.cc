@@ -79,11 +79,14 @@ Status TuningServer::OpenStateDir() {
   // Recovery order matters: materialize sessions from the recovered
   // snapshot + journal tail first, then attach the store (so replay itself
   // journals nothing), then compact — the fresh snapshot covers everything
-  // restored and the old journal chain is dropped.
+  // restored and the old journal chain is dropped. The recovered tree is
+  // freed before the compaction builds its document, so the two never
+  // coexist.
   ST_ASSIGN_OR_RETURN(
       restore_report_,
       sessions_.RestoreFromState(store_->recovered(), store_.get(),
                                  /*skip_existing=*/false));
+  store_->ReleaseRecovered();
   sessions_.AttachStore(store_.get());
   ST_RETURN_NOT_OK(store_->Compact(sessions_.DurableSnapshot()));
   store_->SetTailWarnBytes(

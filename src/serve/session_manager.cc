@@ -1,9 +1,12 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
+#include <iterator>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/trace_context.h"
@@ -774,12 +777,13 @@ Result<TuningSession*> SessionManager::Register(const JobSpec& job,
     return Status::ResourceExhausted("session '" + job.session +
                                      "' is being restored; retry shortly");
   }
-  for (const auto& session : sessions_) {
-    if (session->name() != job.session) continue;
+  const auto existing = by_name_.find(job.session);
+  if (existing != by_name_.end()) {
+    TuningSession* session = existing->second;
     ST_RETURN_NOT_OK(session->Resume(job));
     ++stats_.resumed;
     if (store_ != nullptr) (void)store_->Sync();  // resume event durable
-    return session.get();
+    return session;
   }
   JobSpec resolved = job;
   if (resolved.num_slices == 0) {
@@ -790,8 +794,7 @@ Result<TuningSession*> SessionManager::Register(const JobSpec& job,
         StrFormat("submit_job: append_slice %d outside [0, %d)",
                   resolved.append_slice, resolved.num_slices));
   }
-  sessions_.push_back(
-      std::make_unique<TuningSession>(next_id_++, resolved, store_));
+  AddLocked(std::make_unique<TuningSession>(next_id_++, resolved, store_));
   ++stats_.created;
   ServeMetrics::Get().sessions->Set(static_cast<double>(sessions_.size()));
   if (store_ != nullptr) (void)store_->Sync();  // create event durable
@@ -799,34 +802,46 @@ Result<TuningSession*> SessionManager::Register(const JobSpec& job,
   return sessions_.back().get();
 }
 
+void SessionManager::AddLocked(std::unique_ptr<TuningSession> session) {
+  by_name_.emplace(session->name(), session.get());
+  by_id_.emplace(session->id(), session.get());
+  sessions_.push_back(std::move(session));
+}
+
 void SessionManager::Drop(uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-    if ((*it)->id() != id) continue;
-    --stats_.created;  // the session never became visible to clients
-    // Recovery must not resurrect the never-admitted name.
-    (*it)->LogDropped();
-    if (store_ != nullptr) (void)store_->Sync();
-    sessions_.erase(it);
-    ServeMetrics::Get().sessions->Set(static_cast<double>(sessions_.size()));
-    return;
+  const auto indexed = by_id_.find(id);
+  if (indexed == by_id_.end()) return;
+  TuningSession* session = indexed->second;
+  --stats_.created;  // the session never became visible to clients
+  // Recovery must not resurrect the never-admitted name.
+  session->LogDropped();
+  if (store_ != nullptr) (void)store_->Sync();
+  by_id_.erase(indexed);
+  const auto named = by_name_.find(session->name());
+  if (named != by_name_.end() && named->second == session) {
+    by_name_.erase(named);
   }
+  // Register appended the session moments ago: search from the back.
+  const auto owned = std::find_if(
+      sessions_.rbegin(), sessions_.rend(),
+      [session](const std::unique_ptr<TuningSession>& candidate) {
+        return candidate.get() == session;
+      });
+  sessions_.erase(std::next(owned).base());
+  ServeMetrics::Get().sessions->Set(static_cast<double>(sessions_.size()));
 }
 
 TuningSession* SessionManager::Find(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& session : sessions_) {
-    if (session->name() == name) return session.get();
-  }
-  return nullptr;
+  const auto it = by_name_.find(name);
+  return it == by_name_.end() ? nullptr : it->second;
 }
 
 TuningSession* SessionManager::FindById(uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& session : sessions_) {
-    if (session->id() == id) return session.get();
-  }
-  return nullptr;
+  const auto it = by_id_.find(id);
+  return it == by_id_.end() ? nullptr : it->second;
 }
 
 Status SessionManager::Cancel(const std::string& name) {
@@ -926,10 +941,12 @@ json::Value SessionManager::DurableSnapshot() const {
   out.Set("format", "slicetuner-serve-state");
   out.Set("version", 1);
   out.Set("next_id", static_cast<long long>(next_id_));
+  // Each session serializes under its own mutex; slots keep registry order.
+  std::vector<json::Value> states(sessions_.size());
+  ParallelFor(states.size(),
+              [&](size_t i) { states[i] = sessions_[i]->DurableState(); });
   json::Value sessions = json::Value::Array();
-  for (const auto& session : sessions_) {
-    sessions.Append(session->DurableState());
-  }
+  for (json::Value& state : states) sessions.Append(std::move(state));
   out.Set("sessions", std::move(sessions));
   return out;
 }
@@ -997,6 +1014,33 @@ void ApplyJournalRecord(json::Value* entry, const json::Value& record) {
   }
 }
 
+// One session name in the merge: the snapshot entry it starts from,
+// borrowed from the recovered tree, until a journal record applies to it
+// and it is copied out (or started over) into `owned`.
+struct MergedEntry {
+  std::string name;
+  const json::Value* base = nullptr;
+  json::Value owned;
+
+  const json::Value& state() const { return base != nullptr ? *base : owned; }
+  json::Value* Mutable() {
+    if (base != nullptr) {
+      owned = *base;
+      base = nullptr;
+    }
+    return &owned;
+  }
+};
+
+MergedEntry FreshEntry(const std::string& name) {
+  MergedEntry entry;
+  entry.name = name;
+  entry.owned = json::Value::Object();
+  entry.owned.Set("name", name);
+  entry.owned.Set("seq", 0);
+  return entry;
+}
+
 }  // namespace
 
 Result<RestoreReport> SessionManager::RestoreFromState(
@@ -1005,23 +1049,21 @@ Result<RestoreReport> SessionManager::RestoreFromState(
   RestoreReport report;
   report.tail_truncated = state.tail_truncated;
 
-  // Merge base: the snapshot's session entries, in snapshot order.
-  std::vector<std::pair<std::string, json::Value>> merged;
-  auto find_merged = [&merged](const std::string& name) -> json::Value* {
-    for (auto& pair : merged) {
-      if (pair.first == name) return &pair.second;
-    }
-    return nullptr;
-  };
+  // Merge base: the snapshot's session entries, in snapshot order, then
+  // tail-only names in order of first appearance.
+  std::vector<MergedEntry> merged;
+  std::unordered_map<std::string, size_t> slot_of;  // name -> merged index
   long long next_id = 1;
   if (state.snapshot.is_object()) {
     next_id = state.snapshot.GetInt("next_id", 1);
     if (const json::Value* sessions = state.snapshot.Find("sessions")) {
       for (const json::Value& entry : sessions->items()) {
         if (!entry.is_object()) continue;
-        const std::string name = entry.GetString("name");
-        if (name.empty() || find_merged(name) != nullptr) continue;
-        merged.emplace_back(name, entry);
+        std::string name = entry.GetString("name");
+        if (name.empty() || !slot_of.emplace(name, merged.size()).second) {
+          continue;
+        }
+        merged.push_back({std::move(name), &entry, json::Value()});
       }
     }
   }
@@ -1037,23 +1079,19 @@ Result<RestoreReport> SessionManager::RestoreFromState(
     if (name.empty()) continue;
     const long long seq = record.GetInt("seq", -1);
     if (seq < 0) continue;
-    json::Value* entry = find_merged(name);
-    if (entry == nullptr) {
-      json::Value fresh = json::Value::Object();
-      fresh.Set("name", name);
-      fresh.Set("seq", 0);
-      merged.emplace_back(name, std::move(fresh));
-      entry = &merged.back().second;
+    const auto slot = slot_of.emplace(name, merged.size());
+    if (slot.second) {
+      merged.push_back(FreshEntry(name));
     } else if (record.GetString("event") == "create" &&
-               record.GetInt("id", -1) != entry->GetInt("id", -1)) {
-      json::Value fresh = json::Value::Object();
-      fresh.Set("name", name);
-      fresh.Set("seq", 0);
-      *entry = std::move(fresh);
+               record.GetInt("id", -1) !=
+                   merged[slot.first->second].state().GetInt("id", -1)) {
+      merged[slot.first->second] = FreshEntry(name);
     }
-    if (seq < entry->GetInt("seq", 0)) continue;  // covered by the snapshot
-    ApplyJournalRecord(entry, record);
-    entry->Set("seq", seq + 1);
+    MergedEntry& entry = merged[slot.first->second];
+    if (seq < entry.state().GetInt("seq", 0)) continue;  // snapshot has it
+    json::Value* advanced = entry.Mutable();
+    ApplyJournalRecord(advanced, record);
+    advanced->Set("seq", seq + 1);
     ++report.journal_records_applied;
   }
 
@@ -1062,73 +1100,66 @@ Result<RestoreReport> SessionManager::RestoreFromState(
   // attaches a retry hint) and a concurrent restore pass leaves it alone —
   // so a submit arriving while `restore` runs under load can neither race
   // the rebuild nor create a duplicate session.
-  std::unordered_set<std::string> claimed;
+  std::vector<size_t> claimed;  // merged indexes, in merged order
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& pair : merged) {
-      const json::Value& entry = pair.second;
-      if (entry.GetBool("dropped", false) || !entry.Has("job")) continue;
-      if (restoring_names_.count(pair.first) != 0) continue;
-      bool live = false;
-      for (const auto& session : sessions_) {
-        if (session->name() == pair.first) {
-          live = true;
-          break;
-        }
+    for (size_t i = 0; i < merged.size(); ++i) {
+      const json::Value& entry = merged[i].state();
+      if (entry.GetBool("dropped", false)) {
+        ++report.sessions_dropped;
+        continue;
       }
-      if (skip_existing && live) continue;
-      restoring_names_.insert(pair.first);
-      claimed.insert(pair.first);
+      // The create event never became durable; there is nothing to rebuild.
+      if (!entry.Has("job")) continue;
+      const std::string& name = merged[i].name;
+      if (restoring_names_.count(name) != 0 ||
+          (skip_existing && by_name_.count(name) != 0)) {
+        // Live already, or another concurrent restore pass owns the name.
+        ++report.sessions_skipped;
+        continue;
+      }
+      restoring_names_.insert(name);
+      claimed.push_back(i);
     }
   }
   if (restore_hook_) restore_hook_();
 
-  // Materialize.
-  for (auto& pair : merged) {
-    const std::string& name = pair.first;
-    json::Value& entry = pair.second;
-    if (entry.GetBool("dropped", false)) {
-      ++report.sessions_dropped;
-      continue;
-    }
-    if (!entry.Has("job")) {
-      // The create event never became durable; there is nothing to rebuild.
-      continue;
-    }
-    if (claimed.count(name) == 0) {
-      // Live already, or another concurrent restore pass owns the name.
-      ++report.sessions_skipped;
-      continue;
-    }
-    size_t warm = 0;
+  // Materialize: each rebuild is a pure function of its merged entry, so
+  // they fan out across the pool into per-index slots.
+  std::vector<std::unique_ptr<TuningSession>> rebuilt(claimed.size());
+  std::vector<Status> failures(claimed.size());
+  std::vector<size_t> warm(claimed.size(), 0);
+  ParallelFor(claimed.size(), [&](size_t i) {
     Result<std::unique_ptr<TuningSession>> restored =
-        TuningSession::Restore(entry, store, &warm);
-    if (!restored.ok()) {
-      // One undecodable session must not take down recovery of the rest.
-      ST_LOG(Warning) << "could not restore session '" << name
-                      << "': " << restored.status().ToString();
-      continue;
+        TuningSession::Restore(merged[claimed[i]].state(), store, &warm[i]);
+    if (restored.ok()) {
+      rebuilt[i] = std::move(restored).value();
+    } else {
+      failures[i] = restored.status();
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      next_id_ = std::max(
-          {next_id_, static_cast<uint64_t>(next_id), (*restored)->id() + 1});
-      sessions_.push_back(std::move(*restored));
-      ++stats_.restored;
-      ServeMetrics::Get().sessions->Set(
-          static_cast<double>(sessions_.size()));
-    }
+  });
+  for (size_t i = 0; i < claimed.size(); ++i) {
+    if (failures[i].ok()) continue;
+    // One undecodable session must not take down recovery of the rest.
+    ST_LOG(Warning) << "could not restore session '" << merged[claimed[i]].name
+                    << "': " << failures[i].ToString();
+  }
+
+  // Publish in merged order. An empty recovery still adopts the snapshot's
+  // id allocator, and the claimed names become submittable again (restored
+  // ones as live sessions, failed ones as fresh creates).
+  std::lock_guard<std::mutex> lock(mu_);
+  next_id_ = std::max(next_id_, static_cast<uint64_t>(next_id));
+  for (size_t i = 0; i < claimed.size(); ++i) {
+    restoring_names_.erase(merged[claimed[i]].name);
+    if (rebuilt[i] == nullptr) continue;
+    next_id_ = std::max(next_id_, rebuilt[i]->id() + 1);
+    AddLocked(std::move(rebuilt[i]));
     ++report.sessions_restored;
-    report.warm_slices += warm;
+    report.warm_slices += warm[i];
   }
-  // An empty recovery still adopts the snapshot's id allocator, and the
-  // claimed names become submittable again (restored ones as live
-  // sessions, failed ones as fresh creates).
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_id_ = std::max(next_id_, static_cast<uint64_t>(next_id));
-    for (const std::string& name : claimed) restoring_names_.erase(name);
-  }
+  stats_.restored += report.sessions_restored;
+  ServeMetrics::Get().sessions->Set(static_cast<double>(sessions_.size()));
   return report;
 }
 

@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -298,16 +299,21 @@ class SessionManager {
   /// Materializes sessions from recovered state: merges the snapshot's
   /// session entries with the journal tail (per-session sequence numbers
   /// decide which tail records the snapshot already covers), then rebuilds
-  /// each surviving session via TuningSession::Restore. With
-  /// `skip_existing`, names already registered are left untouched (the
-  /// runtime `restore` verb); startup recovery passes false on an empty
-  /// registry. Restored sessions journal future events through `store`.
+  /// each surviving session via TuningSession::Restore, in parallel across
+  /// the shared pool. The rebuilt sessions join the registry together, in
+  /// merged order (snapshot order, then first appearance in the tail),
+  /// whatever the thread count. With `skip_existing`, names already
+  /// registered are left untouched (the runtime `restore` verb); startup
+  /// recovery passes false on an empty registry. Restored sessions journal
+  /// future events through `store`.
   Result<RestoreReport> RestoreFromState(const store::RecoveredState& state,
                                          store::DurableStore* store,
                                          bool skip_existing);
 
   /// The store snapshot document covering every registered session (plus
   /// the id allocator), ready for DurableStore::WriteSnapshot/Compact.
+  /// Sessions serialize in parallel and appear in registry order, so the
+  /// document does not depend on the thread count.
   json::Value DurableSnapshot() const;
 
   /// Test hook: invoked by RestoreFromState after claiming the names it
@@ -316,8 +322,17 @@ class SessionManager {
   void SetRestoreHookForTesting(std::function<void()> hook);
 
  private:
+  /// Appends `session` to the registry and its indexes (requires mu_).
+  void AddLocked(std::unique_ptr<TuningSession> session);
+
   mutable std::mutex mu_;
+  // Registry order (what snapshots follow); owns the sessions.
   std::vector<std::unique_ptr<TuningSession>> sessions_;
+  // Lookup indexes over sessions_. A name or id registered twice (only a
+  // skip_existing=false restore onto a live registry can do that) keeps
+  // its first session, as the registry order would.
+  std::unordered_map<std::string, TuningSession*> by_name_;
+  std::unordered_map<uint64_t, TuningSession*> by_id_;
   uint64_t next_id_ = 1;
   SessionManagerStats stats_;
   store::DurableStore* store_ = nullptr;  // not owned; may be null

@@ -120,10 +120,9 @@ Result<RecoveredState> ReadStateDirImpl(
     const std::string& dir,
     std::vector<std::pair<uint64_t, size_t>>* chain) {
   RecoveredState state;
-  const Result<json::Value> snapshot =
-      ReadSnapshotFile(dir + "/" + kSnapshotName);
+  Result<json::Value> snapshot = ReadSnapshotFile(dir + "/" + kSnapshotName);
   if (snapshot.ok()) {
-    state.snapshot = *snapshot;
+    state.snapshot = std::move(snapshot).value();
   } else if (snapshot.status().code() != StatusCode::kNotFound) {
     return snapshot.status();
   }
@@ -177,7 +176,14 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
     store->sealed_bytes_ += gen.second;
   }
   store->stats_.journal_tail_bytes = store->sealed_bytes_;
+  store->recovered_records_ = store->recovered_.tail.size();
+  store->recovered_snapshot_ = !store->recovered_.snapshot.is_null();
   return store;
+}
+
+void DurableStore::ReleaseRecovered() {
+  recovered_.snapshot = json::Value();
+  std::vector<json::Value>().swap(recovered_.tail);
 }
 
 DurableStore::~DurableStore() { (void)writer_.Close(); }
@@ -428,8 +434,8 @@ json::Value DurableStore::StatsJson() const {
   out.Set("snapshots_retired", s.snapshots_retired);
   out.Set("journal_tail_bytes", s.journal_tail_bytes);
   out.Set("tail_warnings", s.tail_warnings);
-  out.Set("recovered_records", recovered_.tail.size());
-  out.Set("recovered_snapshot", !recovered_.snapshot.is_null());
+  out.Set("recovered_records", recovered_records_);
+  out.Set("recovered_snapshot", recovered_snapshot_);
   out.Set("tail_truncated", recovered_.tail_truncated);
   return out;
 }

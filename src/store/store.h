@@ -110,7 +110,15 @@ class DurableStore {
   ~DurableStore();
 
   /// What recovery found (fixed at Open; replaying it is the caller's job).
+  /// Empty of snapshot and records after ReleaseRecovered().
   const RecoveredState& recovered() const { return recovered_; }
+
+  /// Frees the recovered snapshot tree and journal records once the caller
+  /// has replayed them (the tree is the size of the whole persisted
+  /// registry). Not thread-safe against readers of recovered(); StatsJson
+  /// keeps reporting the recovered counts.
+  void ReleaseRecovered();
+
   const std::string& dir() const { return dir_; }
 
   /// Appends one record to the live journal generation (buffered).
@@ -174,6 +182,9 @@ class DurableStore {
 
   std::string dir_;
   RecoveredState recovered_;
+  // What Open recovered, kept for StatsJson past ReleaseRecovered().
+  size_t recovered_records_ = 0;
+  bool recovered_snapshot_ = false;
   // Lock order: checkpoint_mu_ before mu_. Append/Sync take only mu_, so
   // they run concurrently with a checkpoint's slow phases.
   mutable std::mutex checkpoint_mu_;

@@ -185,8 +185,9 @@ TEST(LoadDriverTest, CancelsTaintSessionsOutOfTheOracleSet) {
     EXPECT_TRUE(outcome.final_state == "cancelled" ||
                 outcome.final_state == "done")
         << outcome.final_state;
-    if (outcome.final_state == "cancelled")
+    if (outcome.final_state == "cancelled") {
       EXPECT_TRUE(outcome.tainted) << outcome.name;
+    }
     if (outcome.tainted) ++tainted;
   }
   EXPECT_GT(tainted, 0u);

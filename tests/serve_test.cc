@@ -852,10 +852,17 @@ TEST(TuningServerTest, ShedResumedSessionResolvesOnCancelThread) {
       << "shed resumption never resolved";
   EXPECT_EQ(r->phase(), SessionPhase::kCancelled);
   EXPECT_GE(server.admission().stats().cancels_admitted, 1u);
-  const json::Value stats = server.StatsJson();
-  const json::Value* admission = stats.Find("admission");
-  ASSERT_NE(admission, nullptr);
-  EXPECT_GE(admission->GetInt("cancels_resolved"), 1);
+  // The resolver thread counts the cancel just after the session turns
+  // terminal, so the count may trail WaitTerminal by a moment.
+  long long cancels_resolved = 0;
+  for (int i = 0; i < 10000 && cancels_resolved < 1; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const json::Value stats = server.StatsJson();
+    const json::Value* admission = stats.Find("admission");
+    ASSERT_NE(admission, nullptr);
+    cancels_resolved = admission->GetInt("cancels_resolved");
+  }
+  EXPECT_GE(cancels_resolved, 1);
 
   // The worker that took the shed submit stayed responsive throughout.
   auto poll_r = connection->Call(SessionRequest(RequestType::kPoll, "r"));

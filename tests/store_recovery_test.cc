@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -469,6 +470,169 @@ TEST(StoreRecoveryTest, RegisterShedsWhileNameIsMidRestore) {
   EXPECT_EQ(recovered.stats().resumed, 1u);
   ST_CHECK_OK((*resumed)->RunJob());
   EXPECT_EQ((*resumed)->phase(), SessionPhase::kDone);
+}
+
+JobSpec LightJob(const std::string& session) {
+  JobSpec job = ColdJob(session);
+  job.rows_per_slice = 20;
+  job.budget = 8.0;
+  job.method = "uniform";
+  return job;
+}
+
+std::string Name(const char* prefix, int i) {
+  return prefix + std::to_string(1000 + i).substr(1);
+}
+
+// Recovery at registry scale: a few hundred sessions split across a
+// snapshot and a journal tail, rebuilt in parallel. The tail holds new
+// sessions, resumptions of snapshotted ones, a dropped submit, a name
+// reused with a fresh id, an interrupted session and one entry that cannot
+// be decoded. Every restore of the directory must produce the same
+// registry, and every session at rest must serialize exactly as it did
+// before the restart.
+TEST(StoreRecoveryTest, ManySessionsRestoreDeterministically) {
+  constexpr int kSnapshotted = 120;
+  constexpr int kResumed = 10;
+  constexpr int kTailOnly = 80;
+  const std::string dir = FreshDir("many_sessions");
+  std::vector<std::string> at_rest;
+  std::map<std::string, std::string> states_before;
+  long long next_id_before = 0;
+  {
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(store.status());
+    SessionManager manager;
+    manager.AttachStore(store->get());
+    for (int i = 0; i < kSnapshotted; ++i) {
+      MustRegisterAndRun(&manager, LightJob(Name("snap", i)));
+      at_rest.push_back(Name("snap", i));
+    }
+    for (int i = 0; i < 2; ++i) {
+      MustRegisterAndRun(&manager, ColdJob(Name("warm", i)));
+      at_rest.push_back(Name("warm", i));
+    }
+    // A shed submit: the name's first incarnation is dropped before the
+    // snapshot, its retry lands in the tail with a fresh id.
+    const Result<TuningSession*> shed = manager.Register(LightJob("reuse"));
+    ST_CHECK_OK(shed.status());
+    manager.Drop((*shed)->id());
+    ST_CHECK_OK((*store)->WriteSnapshot(manager.DurableSnapshot()));
+
+    // Everything below lives only in the journal tail.
+    for (int i = 0; i < kResumed; ++i) {
+      MustRegisterAndRun(&manager, LightJob(Name("snap", i)));
+    }
+    for (int i = 0; i < kTailOnly; ++i) {
+      MustRegisterAndRun(&manager, LightJob(Name("tail", i)));
+      at_rest.push_back(Name("tail", i));
+    }
+    MustRegisterAndRun(&manager, LightJob("reuse"));
+    at_rest.push_back("reuse");
+    const Result<TuningSession*> gone = manager.Register(LightJob("gone"));
+    ST_CHECK_OK(gone.status());
+    manager.Drop((*gone)->id());
+    // Journaled records of a session whose acquire log cannot replay: its
+    // restore fails alone.
+    json::Value create = json::Value::Object();
+    create.Set("event", "create");
+    create.Set("job", LightJob("bad").ToJson());
+    create.Set("session", "bad");
+    create.Set("id", 1000000);
+    create.Set("seq", 0);
+    ST_CHECK_OK((*store)->Append(create));
+    json::Value acquire = json::Value::Object();
+    acquire.Set("event", "acquire");
+    acquire.Set("round", 0);
+    acquire.Set("slice", 99);
+    acquire.Set("n", 5);
+    acquire.Set("session", "bad");
+    acquire.Set("id", 1000000);
+    acquire.Set("seq", 1);
+    ST_CHECK_OK((*store)->Append(acquire));
+    ST_CHECK_OK((*store)->Sync());
+    // Registered, never run: the process dies with it queued.
+    ST_CHECK_OK(manager.Register(LightJob("interrupted")).status());
+
+    for (const std::string& name : at_rest) {
+      states_before[name] = manager.Find(name)->DurableState().Dump();
+    }
+    next_id_before = manager.DurableSnapshot().GetInt("next_id");
+  }
+  const size_t expected_sessions = kSnapshotted + 2 + kTailOnly + 2;
+
+  Result<std::unique_ptr<store::DurableStore>> reopened =
+      store::DurableStore::Open(dir);
+  ST_CHECK_OK(reopened.status());
+  SessionManager recovered;
+  const Result<RestoreReport> report = recovered.RestoreFromState(
+      (*reopened)->recovered(), reopened->get(), /*skip_existing=*/false);
+  ST_CHECK_OK(report.status());
+  EXPECT_EQ(report->sessions_restored, expected_sessions);
+  EXPECT_EQ(report->sessions_dropped, 1u);
+  EXPECT_EQ(report->sessions_skipped, 0u);
+  // Only the two moderate sessions fitted curves; uniform jobs train
+  // nothing and cache nothing.
+  EXPECT_EQ(report->warm_slices, 8u);
+  EXPECT_GT(report->journal_records_applied, 0u);
+  EXPECT_EQ(recovered.session_count(), expected_sessions);
+  EXPECT_EQ(recovered.stats().restored, expected_sessions);
+
+  for (const std::string& name : at_rest) {
+    TuningSession* session = recovered.Find(name);
+    ASSERT_NE(session, nullptr) << name;
+    EXPECT_EQ(recovered.FindById(session->id()), session) << name;
+    EXPECT_EQ(session->DurableState().Dump(), states_before[name]) << name;
+  }
+  TuningSession* interrupted = recovered.Find("interrupted");
+  ASSERT_NE(interrupted, nullptr);
+  EXPECT_EQ(interrupted->phase(), SessionPhase::kCancelled);
+  EXPECT_EQ(recovered.Find("gone"), nullptr);
+  EXPECT_EQ(recovered.Find("bad"), nullptr);
+  EXPECT_EQ(recovered.FindById(1000000), nullptr);
+
+  // A second, independent restore of the same directory builds the same
+  // registry in the same order.
+  const Result<store::RecoveredState> reread = store::ReadStateDir(dir);
+  ST_CHECK_OK(reread.status());
+  SessionManager again;
+  const Result<RestoreReport> report_again =
+      again.RestoreFromState(*reread, nullptr, /*skip_existing=*/false);
+  ST_CHECK_OK(report_again.status());
+  EXPECT_EQ(report_again->ToJson().Dump(), report->ToJson().Dump());
+  const json::Value snapshot = recovered.DurableSnapshot();
+  EXPECT_EQ(again.DurableSnapshot().Dump(), snapshot.Dump());
+
+  // Registry order is merged order: snapshot order, then each tail-only
+  // name in order of its first journal record ("reuse" first appears with
+  // its dropped incarnation, before the snapshot).
+  std::vector<std::string> expected_order;
+  for (int i = 0; i < kSnapshotted; ++i) {
+    expected_order.push_back(Name("snap", i));
+  }
+  expected_order.push_back(Name("warm", 0));
+  expected_order.push_back(Name("warm", 1));
+  expected_order.push_back("reuse");
+  for (int i = 0; i < kTailOnly; ++i) {
+    expected_order.push_back(Name("tail", i));
+  }
+  expected_order.push_back("interrupted");
+  std::vector<std::string> order;
+  for (const json::Value& entry : snapshot.Find("sessions")->items()) {
+    order.push_back(entry.GetString("name"));
+  }
+  EXPECT_EQ(order, expected_order);
+
+  // The id allocator continues where the pre-restart manager stopped, and
+  // the failed name is free for a fresh create.
+  EXPECT_EQ(snapshot.GetInt("next_id"), next_id_before);
+  bool created = false;
+  const Result<TuningSession*> fresh =
+      recovered.Register(LightJob("bad"), &created);
+  ST_CHECK_OK(fresh.status());
+  EXPECT_TRUE(created);
+  EXPECT_EQ((*fresh)->id(), static_cast<uint64_t>(next_id_before));
 }
 
 }  // namespace

@@ -232,6 +232,37 @@ TEST(DurableStoreTest, RecoversAppendsAcrossReopen) {
   EXPECT_EQ((*reopened)->recovered().tail[1].GetInt("n"), 2);
 }
 
+// Releasing the recovered tree frees it but keeps what StatsJson reports
+// about the recovery.
+TEST(DurableStoreTest, ReleaseRecoveredKeepsRecoveredCounts) {
+  const std::string dir = FreshDir("store_release");
+  {
+    Result<std::unique_ptr<DurableStore>> opened = DurableStore::Open(dir);
+    ST_CHECK_OK(opened.status());
+    ST_CHECK_OK((*opened)->Append(Record(1)));
+    json::Value doc = json::Value::Object();
+    doc.Set("covers", 1);
+    ST_CHECK_OK((*opened)->WriteSnapshot(doc));
+    ST_CHECK_OK((*opened)->Append(Record(2)));
+    ST_CHECK_OK((*opened)->Sync());
+  }
+  Result<std::unique_ptr<DurableStore>> reopened = DurableStore::Open(dir);
+  ST_CHECK_OK(reopened.status());
+  DurableStore& store = **reopened;
+  EXPECT_EQ(store.recovered().snapshot.GetInt("covers"), 1);
+  ASSERT_EQ(store.recovered().tail.size(), 2u);
+  const std::string stats = store.StatsJson().Dump();
+
+  store.ReleaseRecovered();
+  EXPECT_TRUE(store.recovered().snapshot.is_null());
+  EXPECT_TRUE(store.recovered().tail.empty());
+  const json::Value released = store.StatsJson();
+  EXPECT_EQ(released.Dump(), stats);
+  EXPECT_EQ(released.GetInt("recovered_records"), 2);
+  EXPECT_TRUE(released.GetBool("recovered_snapshot"));
+  EXPECT_FALSE(released.GetBool("tail_truncated"));
+}
+
 TEST(DurableStoreTest, SnapshotRotatesGenerationAndRetainsJournal) {
   const std::string dir = FreshDir("store_rotate");
   Result<std::unique_ptr<DurableStore>> opened = DurableStore::Open(dir);
