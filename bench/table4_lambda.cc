@@ -4,16 +4,17 @@
 // on Fashion: higher lambda concentrates acquisition on the high-loss slices.
 //
 // The 16 (dataset, lambda) cells are independent experiment sessions, so
-// they fan out concurrently through the engine's ExperimentRunner
-// (--threads=N caps the concurrency; results are identical at any setting).
-// Per-session progress streams to stderr as sessions start and finish.
+// they fan out concurrently through ParallelFor (--threads=N caps the
+// concurrency; results are identical at any setting). Each session prints
+// one "[done]" line to stderr as it finishes.
 
 #include <cstdio>
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "common/parallel_for.h"
+#include "common/stopwatch.h"
 #include "common/table_printer.h"
-#include "engine/experiment_runner.h"
 
 namespace slicetuner {
 namespace {
@@ -51,30 +52,30 @@ int main(int argc, char** argv) {
   configs.push_back(BaseConfig(MakeFaceLike(), 300, 1500.0));
   configs.push_back(BaseConfig(MakeCensusLike(), 100, 800.0));
 
-  engine::ExperimentRunner::Options runner_options;
-  runner_options.max_concurrent_sessions = threads;
-  runner_options.on_event = [](const engine::SessionEvent& event) {
-    if (event.state == engine::SessionState::kQueued) return;
-    std::fprintf(stderr, "[%-9s] %s (%.1fs)%s%s\n",
-                 engine::SessionStateName(event.state), event.name.c_str(),
-                 event.wall_seconds, event.detail.empty() ? "" : ": ",
-                 event.detail.c_str());
-  };
-  engine::ExperimentRunner runner(runner_options);
-
-  // Submission order = report order: datasets outer, lambdas inner.
-  std::vector<double> session_lambda;
-  std::vector<std::string> session_dataset;
+  // Session order = report order: datasets outer, lambdas inner.
+  std::vector<ExperimentConfig> session_config;
   for (auto& config : configs) {
     for (double lambda : kLambdas) {
       config.lambda = lambda;
-      runner.Submit(config.preset.name + " lambda=" + FormatDouble(lambda, 1),
-                    config, Method::kModerate);
-      session_lambda.push_back(lambda);
-      session_dataset.push_back(config.preset.name);
+      session_config.push_back(config);
     }
   }
-  const std::vector<engine::SessionResult> results = runner.RunAll();
+  std::vector<Result<MethodOutcome>> results(
+      session_config.size(), Status::Internal("session did not run"));
+  ParallelOptions lanes;
+  lanes.num_threads = threads;
+  ParallelFor(
+      session_config.size(),
+      [&](size_t i) {
+        const ExperimentConfig& config = session_config[i];
+        Stopwatch timer;
+        results[i] = RunMethod(config, Method::kModerate);
+        std::fprintf(stderr, "[done] %s lambda=%s (%.1fs)\n",
+                     config.preset.name.c_str(),
+                     FormatDouble(config.lambda, 1).c_str(),
+                     timer.ElapsedSeconds());
+      },
+      lanes);
 
   CsvWriter csv;
   ST_CHECK_OK(csv.Open(bench::ResultsDir() + "/table4_lambda.csv"));
@@ -85,10 +86,10 @@ int main(int argc, char** argv) {
   TablePrinter table5({"lambda", "0", "1", "2", "3", "4", "5", "6", "7", "8",
                        "9"});
   for (size_t i = 0; i < results.size(); ++i) {
-    ST_CHECK_OK(results[i].status);
-    const MethodOutcome& outcome = results[i].outcome;
-    const double lambda = session_lambda[i];
-    const std::string& dataset = session_dataset[i];
+    ST_CHECK_OK(results[i].status());
+    const MethodOutcome& outcome = *results[i];
+    const double lambda = session_config[i].lambda;
+    const std::string& dataset = session_config[i].preset.name;
     table4.AddRow({dataset, FormatDouble(lambda, 1), bench::LossCell(outcome),
                    bench::EerCell(outcome)});
     ST_CHECK_OK(csv.WriteRow({dataset, FormatDouble(lambda, 1),

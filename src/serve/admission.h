@@ -11,9 +11,9 @@
 //
 //  * Micro-batching — NextBatch(shard) blocks until work arrives on that
 //    shard, then drains up to max_batch compatible sessions at once. The
-//    dispatcher fans the whole batch out through one
-//    ExperimentRunner::RunAll, so concurrent curve-estimation jobs share
-//    one engine fan-out instead of serializing per-request.
+//    dispatcher fans the whole batch out through one ParallelFor, so
+//    concurrent curve-estimation jobs share one fan-out over the pool
+//    instead of serializing per-request.
 //
 //  * Session affinity — a session id always lands on shard
 //    `id % num_shards`, so every job of one session is dispatched by the

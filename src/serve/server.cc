@@ -14,9 +14,9 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "common/thread_pool.h"
 #include "common/trace_context.h"
-#include "engine/experiment_runner.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "serve/serve_metrics.h"
@@ -291,9 +291,8 @@ void TuningServer::DispatchLoop(size_t shard) {
     const bool cancel_batch =
         shutdown_requested_.load(std::memory_order_relaxed);
     obs::ScopedTimer dispatch_timer(ServeMetrics::Get().dispatch_ns);
-    engine::ExperimentRunner::Options runner_options;
-    runner_options.max_concurrent_sessions = options_.max_concurrent_sessions;
-    engine::ExperimentRunner runner(runner_options);
+    std::vector<TuningSession*> runnable;
+    runnable.reserve(batch.size());
     for (const uint64_t id : batch) {
       TuningSession* session = sessions_.FindById(id);
       if (session == nullptr) continue;
@@ -302,15 +301,20 @@ void TuningServer::DispatchLoop(size_t shard) {
                                      session->trace_id(),
                                      session->name().c_str(),
                                      static_cast<int64_t>(shard));
-      runner.SubmitTask(session->name(),
-                        [session] { return session->RunJob(); });
+      runnable.push_back(session);
     }
-    // RunAll resolves every submitted session (cancel_on_failure is off, so
-    // nothing is skipped); a session must not be touched again afterwards —
-    // a worker may already have resumed and re-admitted it.
-    for (const engine::SessionResult& result : runner.RunAll()) {
-      sessions_.RecordOutcome(result.status);
-    }
+    // One lane per session up to the cap; a batch of one runs on this
+    // thread. RunJob reports failures in-band, so every slot is filled.
+    std::vector<Status> statuses(runnable.size());
+    ParallelOptions lanes;
+    lanes.num_threads = options_.max_concurrent_sessions;
+    ParallelFor(
+        runnable.size(),
+        [&](size_t i) { statuses[i] = runnable[i]->RunJob(); }, lanes);
+    // Outcomes are recorded here, in batch order, because RecordOutcome
+    // reaches into store maintenance. A session must not be touched again
+    // after its RunJob: a worker may already have resumed and re-admitted it.
+    for (const Status& status : statuses) sessions_.RecordOutcome(status);
     // The batch's subscribers have done frames waiting; don't make them
     // ride out an idle worker's full poll timeout.
     WakeWorkers();

@@ -6,7 +6,7 @@
 // thread, so connection state needs no locks and fds never migrate between
 // threads (src/serve/event_loop.h, connection.h). One dispatcher thread
 // per admission shard drains its shard in micro-batches and fans each
-// batch out through one engine::ExperimentRunner::RunAll over the shared
+// batch out through one ParallelFor (common/parallel_for.h) over the shared
 // thread pool; a session's id pins it to one shard, so a hot session can
 // only ever stall its own dispatcher. A dedicated cancel-resolver thread
 // resolves pending cancels (shed resumptions, explicit cancels of queued

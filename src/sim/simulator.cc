@@ -1,14 +1,13 @@
 #include "sim/simulator.h"
 
-#include <mutex>
 #include <utility>
 
+#include "common/parallel_for.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/bandit.h"
 #include "core/metrics.h"
 #include "core/slice_tuner.h"
-#include "engine/experiment_runner.h"
 #include "sim/scripted_source.h"
 
 namespace slicetuner {
@@ -214,49 +213,22 @@ Result<std::vector<SimCellResult>> SimulateGrid(
   }
 
   std::vector<SimCellResult> cells(scenarios.size() * methods.size());
-  std::vector<char> notified(cells.size(), 0);
-  std::mutex notify_mu;
-  // Streams the terminal state of one cell as it resolves (serialized;
-  // called from whichever lane finished the cell).
-  auto notify = [&options, &notified, &notify_mu](
-                    size_t index, const std::string& name,
-                    const Status& status) {
-    if (!options.on_cell) return;
-    std::lock_guard<std::mutex> lock(notify_mu);
-    if (notified[index]) return;
-    notified[index] = 1;
-    options.on_cell(name, status);
-  };
-
-  engine::ExperimentRunner::Options runner_options;
-  runner_options.max_concurrent_sessions = options.max_concurrent_cells;
-  runner_options.cancel_on_failure = options.cancel_on_failure;
-  engine::ExperimentRunner runner(runner_options);
-
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    for (size_t j = 0; j < methods.size(); ++j) {
-      const size_t index = i * methods.size() + j;
-      SimCellResult& cell = cells[index];
-      cell.name = scenarios[i].name + "/" +
-                  SimMethodName(methods[j]);
-      runner.SubmitTask(cell.name, [&options, &scenarios, &methods, &cell,
-                                    &notify, index, i, j]() -> Status {
-        Result<SimTrace> trace =
-            Simulate(scenarios[i], methods[j], options.cell);
+  ParallelOptions lanes;
+  lanes.num_threads = options.max_concurrent_cells;
+  ParallelFor(
+      cells.size(),
+      [&](size_t index) {
+        const ScenarioSpec& spec = scenarios[index / methods.size()];
+        const SimMethod method = methods[index % methods.size()];
+        SimCellResult& cell = cells[index];
+        cell.name = spec.name + "/" + SimMethodName(method);
+        Stopwatch timer;
+        Result<SimTrace> trace = Simulate(spec, method, options.cell);
+        cell.wall_seconds = timer.ElapsedSeconds();
+        cell.status = trace.status();
         if (trace.ok()) cell.trace = std::move(trace).value();
-        notify(index, cell.name, trace.status());
-        return trace.status();
-      });
-    }
-  }
-
-  const std::vector<engine::SessionResult> results = runner.RunAll();
-  for (size_t index = 0; index < results.size(); ++index) {
-    cells[index].status = results[index].status;
-    cells[index].wall_seconds = results[index].wall_seconds;
-    // Cells cancelled before starting never hit the task body's notify.
-    notify(index, cells[index].name, cells[index].status);
-  }
+      },
+      lanes);
   return cells;
 }
 

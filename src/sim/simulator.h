@@ -1,9 +1,8 @@
 // Simulator: drives one acquisition method through a ScenarioSpec's full
 // multi-round loop — drift applied at round boundaries, per-round budgets,
 // acquisition from the scripted source, end-of-round evaluation — and emits
-// a SimTrace. SimulateGrid fans whole scenario x method grids out through
-// the engine's ExperimentRunner with streamed progress and optional
-// first-failure cancellation.
+// a SimTrace. SimulateGrid fans whole scenario x method grids out over the
+// shared pool with ParallelFor, one independent cell per index.
 //
 // Determinism: every stochastic stream forks off the scenario seed, curve
 // estimation inherits the engine's thread-count-invariant fan-out, and grid
@@ -66,20 +65,14 @@ struct SimCellResult {
 
 struct SimGridOptions {
   SimOptions cell;
-  /// Concurrent cells (ExperimentRunner sessions): 1 = sequential, 0 = one
-  /// per pool lane. Traces are identical at any setting.
+  /// Concurrent cells (ParallelFor lanes): 1 = sequential, 0 = one per pool
+  /// lane. Traces are identical at any setting.
   int max_concurrent_cells = 0;
-  /// Cancel not-yet-started cells after the first failure.
-  bool cancel_on_failure = false;
-  /// Streamed once per cell as it resolves, from whichever lane finished it
-  /// (invocations are serialized). Cells cancelled before starting are
-  /// notified after the run completes.
-  std::function<void(const std::string&, const Status&)> on_cell;
 };
 
-/// Fans the full scenario x method grid out through the ExperimentRunner.
-/// Results arrive in grid order (scenario-major). Per-cell failures are
-/// in-band; the call itself only fails on an empty grid.
+/// Runs every cell of the scenario x method grid, concurrently over the
+/// shared pool. Results arrive in grid order (scenario-major). Per-cell
+/// failures are in-band; the call itself only fails on an empty grid.
 Result<std::vector<SimCellResult>> SimulateGrid(
     const std::vector<ScenarioSpec>& scenarios,
     const std::vector<SimMethod>& methods,

@@ -1,160 +1,25 @@
-// Tests for the execution engine: TaskGraph ordering and cancellation,
-// ParallelFor coverage / nesting / cross-thread-count determinism, the
-// curve engine's content-hash cache, and the ExperimentRunner session API.
+// Tests for the execution engine: ParallelFor coverage / nesting /
+// exceptions / cross-thread-count determinism, the curve engine's
+// content-hash cache, and independent experiment sessions fanned out
+// through ParallelFor.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/parallel_for.h"
 #include "core/experiment.h"
 #include "data/synthetic.h"
 #include "engine/curve_engine.h"
-#include "engine/experiment_runner.h"
-#include "engine/parallel_for.h"
-#include "engine/task_graph.h"
 
 namespace slicetuner {
 namespace engine {
 namespace {
-
-// ---------------------------------------------------------------------------
-// TaskGraph
-// ---------------------------------------------------------------------------
-
-TEST(TaskGraphTest, RespectsDependencyOrder) {
-  ThreadPool pool(4);
-  TaskGraph graph(/*root_seed=*/1, &pool);
-  std::mutex mu;
-  std::vector<TaskId> order;
-  auto record = [&](TaskId id) {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(id);
-  };
-  auto task = [&](const char* name, std::vector<TaskId> deps) {
-    return graph.Add(name,
-                     [&record, &graph](TaskContext& ctx) {
-                       record(ctx.id);
-                       return Status::OK();
-                     },
-                     std::move(deps));
-  };
-  // Diamond: a -> {b, c} -> d.
-  const TaskId a = task("a", {});
-  const TaskId b = task("b", {a});
-  const TaskId c = task("c", {a});
-  const TaskId d = task("d", {b, c});
-
-  ASSERT_TRUE(graph.Run().ok());
-  ASSERT_EQ(order.size(), 4u);
-  auto position = [&](TaskId id) {
-    return std::find(order.begin(), order.end(), id) - order.begin();
-  };
-  EXPECT_LT(position(a), position(b));
-  EXPECT_LT(position(a), position(c));
-  EXPECT_LT(position(b), position(d));
-  EXPECT_LT(position(c), position(d));
-  for (TaskId id : {a, b, c, d}) {
-    EXPECT_EQ(graph.state(id), TaskState::kSucceeded);
-    EXPECT_TRUE(graph.future(id).get().ok());
-  }
-}
-
-TEST(TaskGraphTest, FailureSkipsDependentsAndReportsFirstError) {
-  ThreadPool pool(2);
-  TaskGraph graph(1, &pool);
-  const TaskId a = graph.Add("a", [](TaskContext&) {
-    return Status::Internal("boom");
-  });
-  std::atomic<bool> ran_b{false};
-  const TaskId b = graph.Add(
-      "b",
-      [&](TaskContext&) {
-        ran_b = true;
-        return Status::OK();
-      },
-      {a});
-
-  const Status status = graph.Run();
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(graph.state(a), TaskState::kFailed);
-  EXPECT_EQ(graph.state(b), TaskState::kSkipped);
-  EXPECT_FALSE(ran_b.load());
-  EXPECT_EQ(graph.future(b).get().code(), StatusCode::kCancelled);
-}
-
-TEST(TaskGraphTest, CancelSkipsPendingTasks) {
-  ThreadPool pool(2);
-  TaskGraph graph(1, &pool);
-  // a cancels the graph from inside; its dependent must never run.
-  const TaskId a = graph.Add("a", [&](TaskContext&) {
-    graph.Cancel();
-    return Status::OK();
-  });
-  std::atomic<bool> ran_b{false};
-  const TaskId b = graph.Add(
-      "b",
-      [&](TaskContext&) {
-        ran_b = true;
-        return Status::OK();
-      },
-      {a});
-
-  const Status status = graph.Run();
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(graph.state(a), TaskState::kSucceeded);
-  EXPECT_EQ(graph.state(b), TaskState::kSkipped);
-  EXPECT_FALSE(ran_b.load());
-}
-
-TEST(TaskGraphTest, ThrowingTaskResolvesAsFailureInsteadOfTerminating) {
-  ThreadPool pool(2);
-  TaskGraph graph(1, &pool);
-  const TaskId a = graph.Add("thrower", [](TaskContext&) -> Status {
-    throw std::runtime_error("boom");
-  });
-  std::atomic<bool> ran_b{false};
-  const TaskId b = graph.Add(
-      "b",
-      [&](TaskContext&) {
-        ran_b = true;
-        return Status::OK();
-      },
-      {a});
-
-  const Status status = graph.Run();
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(graph.state(a), TaskState::kFailed);
-  EXPECT_NE(graph.future(a).get().message().find("boom"), std::string::npos);
-  EXPECT_EQ(graph.state(b), TaskState::kSkipped);
-  EXPECT_FALSE(ran_b.load());
-}
-
-TEST(TaskGraphTest, PerTaskRngIsStableAndDistinct) {
-  auto collect = [](size_t num_tasks) {
-    ThreadPool pool(4);
-    TaskGraph graph(/*root_seed=*/99, &pool);
-    std::vector<uint64_t> draws(num_tasks);
-    for (size_t i = 0; i < num_tasks; ++i) {
-      graph.Add("t", [&draws](TaskContext& ctx) {
-        draws[ctx.id] = ctx.rng();
-        return Status::OK();
-      });
-    }
-    EXPECT_TRUE(graph.Run().ok());
-    return draws;
-  };
-  const std::vector<uint64_t> first = collect(8);
-  const std::vector<uint64_t> second = collect(8);
-  EXPECT_EQ(first, second);  // stable across runs/scheduling
-  for (size_t i = 1; i < first.size(); ++i) {
-    EXPECT_NE(first[0], first[i]);  // distinct per task
-  }
-}
 
 // ---------------------------------------------------------------------------
 // ParallelFor
@@ -190,6 +55,72 @@ TEST(ParallelForTest, SeededIsIdenticalAtAnyThreadCount) {
   const std::vector<double> eight = run(8);
   EXPECT_EQ(serial, two);
   EXPECT_EQ(serial, eight);
+  // Every iteration draws from its own stream.
+  for (size_t i = 1; i < kN; ++i) EXPECT_NE(serial[0], serial[i]) << i;
+}
+
+TEST(ParallelForTest, ZeroAndOneIterations) {
+  ThreadPool pool(2);
+  ParallelOptions options;
+  options.pool = &pool;
+  ParallelFor(0, [](size_t) { FAIL() << "must not be called"; }, options);
+  int calls = 0;
+  ParallelFor(
+      1,
+      [&](size_t i) {
+        EXPECT_EQ(i, 0u);
+        ++calls;
+      },
+      options);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ParallelForTest, SerialLoopRethrowsAndStopsAtTheThrowingIndex) {
+  ParallelOptions options;
+  options.num_threads = 1;
+  int calls = 0;
+  EXPECT_THROW(ParallelFor(
+                   16,
+                   [&](size_t i) {
+                     ++calls;
+                     if (i == 3) throw std::runtime_error("boom");
+                   },
+                   options),
+               std::runtime_error);
+  EXPECT_EQ(calls, 4);
+}
+
+TEST(ParallelForTest, ParallelLoopRethrowsOnlyAfterEveryLaneDrained) {
+  // Index 0 throws at once; the rest sleep, so a caller that rethrew
+  // before its helpers finished would observe iterations still in flight.
+  ThreadPool pool(4);
+  ParallelOptions options;
+  options.pool = &pool;
+  options.num_threads = 0;
+  constexpr size_t kN = 64;
+  std::atomic<int> in_flight{0};
+  std::atomic<size_t> calls{0};
+  try {
+    ParallelFor(
+        kN,
+        [&](size_t i) {
+          ++in_flight;
+          ++calls;
+          if (i == 0) {
+            --in_flight;
+            throw std::runtime_error("boom");
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          --in_flight;
+        },
+        options);
+    ADD_FAILURE() << "ParallelFor swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+  EXPECT_EQ(in_flight.load(), 0);
+  // The first exception stops the hand-out of indices.
+  EXPECT_LT(calls.load(), kN);
 }
 
 TEST(ParallelForTest, NestedCallsCannotDeadlockThePool) {
@@ -468,7 +399,7 @@ TEST(CurveEngineTest, PartialEstimateMatchesFullRunPerSlice) {
 }
 
 // ---------------------------------------------------------------------------
-// ExperimentRunner
+// Independent experiment sessions
 // ---------------------------------------------------------------------------
 
 ExperimentConfig SmallConfig(uint64_t seed) {
@@ -484,178 +415,33 @@ ExperimentConfig SmallConfig(uint64_t seed) {
   return config;
 }
 
-TEST(ExperimentRunnerTest, RunsConcurrentSessionsAndStreamsProgress) {
-  std::mutex mu;
-  std::vector<SessionEvent> events;
-  ExperimentRunner::Options options;
-  options.on_event = [&](const SessionEvent& event) {
-    std::lock_guard<std::mutex> lock(mu);
-    events.push_back(event);
-  };
-  ExperimentRunner runner(options);
-  runner.Submit("original", SmallConfig(1), Method::kOriginal);
-  runner.Submit("uniform", SmallConfig(2), Method::kUniform);
-  runner.Submit("waterfill", SmallConfig(3), Method::kWaterFilling);
-  ASSERT_EQ(runner.num_sessions(), 3u);
-
-  const std::vector<SessionResult> results = runner.RunAll();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].name, "original");
-  EXPECT_EQ(results[1].name, "uniform");
-  EXPECT_EQ(results[2].name, "waterfill");
-  for (const SessionResult& r : results) {
-    EXPECT_TRUE(r.status.ok()) << r.status;
-    EXPECT_GT(r.outcome.loss_mean, 0.0);
-  }
-  // Every session streamed queued -> running -> succeeded.
-  for (size_t id = 0; id < 3; ++id) {
-    std::vector<SessionState> states;
-    for (const SessionEvent& e : events) {
-      if (e.session_id == id) states.push_back(e.state);
-    }
-    ASSERT_EQ(states.size(), 3u) << "session " << id;
-    EXPECT_EQ(states[0], SessionState::kQueued);
-    EXPECT_EQ(states[1], SessionState::kRunning);
-    EXPECT_EQ(states[2], SessionState::kSucceeded);
-  }
-}
-
-TEST(ExperimentRunnerTest, SubmitRacingRunAllDefersToTheNextRun) {
-  // Pinned semantics: a session submitted while RunAll is in flight is NOT
-  // picked up by that run — it stays queued and the next RunAll covers it.
-  ExperimentRunner runner;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool first_running = false;
-  bool late_submitted = false;
-  runner.SubmitTask("first", [&] {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      first_running = true;
-    }
-    cv.notify_all();
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return late_submitted; });
-    return Status::OK();
-  });
-
-  std::vector<SessionResult> first_results;
-  std::thread run_thread([&] { first_results = runner.RunAll(); });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return first_running; });
-  }
-  // The in-flight run is mid-session; this submission must defer.
-  std::atomic<int> late_runs{0};
-  runner.SubmitTask("late", [&] {
-    ++late_runs;
-    return Status::OK();
-  });
-  EXPECT_EQ(runner.num_sessions(), 2u);
-  EXPECT_EQ(runner.pending_sessions(), 2u);  // 1 running + 1 queued
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    late_submitted = true;
-  }
-  cv.notify_all();
-  run_thread.join();
-
-  ASSERT_EQ(first_results.size(), 1u);
-  EXPECT_TRUE(first_results[0].status.ok());
-  EXPECT_EQ(late_runs.load(), 0);
-  EXPECT_EQ(runner.pending_sessions(), 1u);  // the deferred session
-
-  const std::vector<SessionResult> second_results = runner.RunAll();
-  ASSERT_EQ(second_results.size(), 2u);
-  EXPECT_TRUE(second_results[1].status.ok());
-  EXPECT_EQ(late_runs.load(), 1);
-  EXPECT_EQ(runner.pending_sessions(), 0u);
-}
-
-TEST(ExperimentRunnerTest, CancelOnFailureSparesSessionsAlreadyRunning) {
-  // Pinned semantics: when a session fails under cancel_on_failure, only
-  // sessions that have not started are cancelled; a session already running
-  // completes and reports its own result.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool second_running = false;
-  bool failure_emitted = false;
-
-  ExperimentRunner::Options options;
-  options.max_concurrent_sessions = 2;
-  options.cancel_on_failure = true;
-  options.on_event = [&](const SessionEvent& event) {
-    if (event.state == SessionState::kFailed) {
-      std::lock_guard<std::mutex> lock(mu);
-      failure_emitted = true;
-      cv.notify_all();
-    }
-  };
-  ExperimentRunner runner(options);
-  runner.SubmitTask("doomed", [&]() -> Status {
-    // Fail only once the survivor is demonstrably mid-flight.
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return second_running; });
-    return Status::Internal("boom");
-  });
-  runner.SubmitTask("survivor", [&] {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      second_running = true;
-    }
-    cv.notify_all();
-    // Outlive the failure so cancellation arrives while running.
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return failure_emitted; });
-    return Status::OK();
-  });
-  std::atomic<bool> third_ran{false};
-  runner.SubmitTask("never-started", [&] {
-    third_ran = true;
-    return Status::OK();
-  });
-
-  const std::vector<SessionResult> results = runner.RunAll();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].status.code(), StatusCode::kInternal);
-  EXPECT_TRUE(results[1].status.ok()) << results[1].status;
-  EXPECT_EQ(results[2].status.code(), StatusCode::kCancelled);
-  EXPECT_FALSE(third_ran.load());
-}
-
-TEST(ExperimentRunnerTest, PendingSessionsTracksQueueDepth) {
-  ExperimentRunner runner;
-  EXPECT_EQ(runner.pending_sessions(), 0u);
-  runner.SubmitTask("a", [] { return Status::OK(); });
-  runner.SubmitTask("b", [] { return Status::OK(); });
-  EXPECT_EQ(runner.pending_sessions(), 2u);
-  (void)runner.RunAll();
-  EXPECT_EQ(runner.pending_sessions(), 0u);
-  // A re-run re-arms the intact queue and drains it again.
-  (void)runner.RunAll();
-  EXPECT_EQ(runner.pending_sessions(), 0u);
-}
-
-TEST(ExperimentRunnerTest, ConcurrencyDoesNotChangeOutcomes) {
-  auto run = [&](int max_concurrent) {
-    ExperimentRunner::Options options;
-    options.max_concurrent_sessions = max_concurrent;
-    ExperimentRunner runner(options);
-    runner.Submit("a", SmallConfig(5), Method::kUniform);
-    runner.Submit("b", SmallConfig(6), Method::kWaterFilling);
-    runner.Submit("c", SmallConfig(7), Method::kProportional);
-    return runner.RunAll();
+TEST(ExperimentFanOutTest, ConcurrencyDoesNotChangeOutcomes) {
+  const std::vector<std::pair<ExperimentConfig, Method>> sessions = {
+      {SmallConfig(5), Method::kUniform},
+      {SmallConfig(6), Method::kWaterFilling},
+      {SmallConfig(7), Method::kProportional}};
+  auto run = [&](int num_threads) {
+    std::vector<Result<MethodOutcome>> results(
+        sessions.size(), Status::Internal("session did not run"));
+    ParallelOptions options;
+    options.num_threads = num_threads;
+    ParallelFor(
+        sessions.size(),
+        [&](size_t i) {
+          results[i] = RunMethod(sessions[i].first, sessions[i].second);
+        },
+        options);
+    return results;
   };
   const auto sequential = run(1);
   const auto concurrent = run(0);
-  ASSERT_EQ(sequential.size(), concurrent.size());
-  for (size_t i = 0; i < sequential.size(); ++i) {
-    ASSERT_TRUE(sequential[i].status.ok());
-    ASSERT_TRUE(concurrent[i].status.ok());
-    EXPECT_DOUBLE_EQ(sequential[i].outcome.loss_mean,
-                     concurrent[i].outcome.loss_mean);
-    EXPECT_DOUBLE_EQ(sequential[i].outcome.avg_eer_mean,
-                     concurrent[i].outcome.avg_eer_mean);
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    ASSERT_TRUE(sequential[i].ok()) << sequential[i].status();
+    ASSERT_TRUE(concurrent[i].ok()) << concurrent[i].status();
+    EXPECT_GT(sequential[i]->loss_mean, 0.0);
+    EXPECT_DOUBLE_EQ(sequential[i]->loss_mean, concurrent[i]->loss_mean);
+    EXPECT_DOUBLE_EQ(sequential[i]->avg_eer_mean,
+                     concurrent[i]->avg_eer_mean);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -415,18 +416,43 @@ TEST(TuningServerTest, MetricsVerbExposesInstrumentedStack) {
   auto connection = ClientConnection::Connect(server.port());
   ASSERT_TRUE(connection.ok());
 
-  auto submitted = connection->Call(SubmitRequest(SmallJob("mx", 2)));
-  ASSERT_TRUE(submitted.ok());
-  ASSERT_TRUE(IsOkResponse(*submitted)) << submitted->Dump();
-  TuningSession* session = server.sessions().Find("mx");
-  ASSERT_NE(session, nullptr);
-  ASSERT_TRUE(session->WaitTerminal(/*timeout_ms=*/60000));
-  ASSERT_EQ(session->phase(), SessionPhase::kDone);
+  // Hold the dispatcher with a long job so "mx" and "my" queue up behind
+  // it and dispatch as one batch of two: that batch's second lane is a
+  // pool task, which populates the pool histograms.
+  auto held = connection->Call(SubmitRequest(SmallJob("hold", 500)));
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(IsOkResponse(*held)) << held->Dump();
+  TuningSession* hold = server.sessions().Find("hold");
+  ASSERT_NE(hold, nullptr);
+  for (int i = 0; i < 60000 && hold->phase() != SessionPhase::kRunning;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(hold->phase(), SessionPhase::kRunning);
+  for (const char* name : {"mx", "my"}) {
+    auto submitted = connection->Call(SubmitRequest(SmallJob(name, 2)));
+    ASSERT_TRUE(submitted.ok());
+    ASSERT_TRUE(IsOkResponse(*submitted)) << submitted->Dump();
+  }
+  ASSERT_TRUE(server.sessions().Cancel("hold").ok());
+  for (const char* name : {"mx", "my"}) {
+    TuningSession* session = server.sessions().Find(name);
+    ASSERT_NE(session, nullptr);
+    ASSERT_TRUE(session->WaitTerminal(/*timeout_ms=*/60000));
+    ASSERT_EQ(session->phase(), SessionPhase::kDone) << name;
+  }
 
   // The metrics verb returns the whole registry: serve stage latencies,
-  // queue/session gauges, job outcomes, engine counters. The dispatch
-  // stage timer closes just after the session turns terminal, so poll the
-  // verb until that last sample lands.
+  // queue/session gauges, job outcomes, engine counters, pool waits. The
+  // dispatch stage timer closes just after the sessions turn terminal, and
+  // a pool helper may be dequeued after its batch returned, so poll the
+  // verb until every histogram below has a sample.
+  const std::vector<std::string> populated = {
+      "serve_stage_ns{stage=\"parse\"}", "serve_stage_ns{stage=\"admit\"}",
+      "serve_stage_ns{stage=\"dispatch\"}",
+      "serve_stage_ns{stage=\"run\"}", "serve_submit_to_done_ns",
+      "serve_round_stage_ns{stage=\"estimate\"}", "serve_batch_size",
+      "pool_queue_wait_ns"};
   json::Value metrics_doc;
   for (int attempt = 0; attempt < 3000; ++attempt) {
     auto metrics = connection->Call(
@@ -436,28 +462,27 @@ TEST(TuningServerTest, MetricsVerbExposesInstrumentedStack) {
     metrics_doc = *metrics;
     const json::Value* histograms = metrics_doc.Find("histograms");
     ASSERT_NE(histograms, nullptr) << metrics_doc.Dump();
-    const json::Value* dispatch =
-        histograms->Find("serve_stage_ns{stage=\"dispatch\"}");
-    if (dispatch != nullptr && dispatch->GetInt("count") >= 1) break;
+    const bool all_sampled =
+        std::all_of(populated.begin(), populated.end(),
+                    [histograms](const std::string& key) {
+                      const json::Value* h = histograms->Find(key);
+                      return h != nullptr && h->GetInt("count") >= 1;
+                    });
+    if (all_sampled) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const json::Value* counters = metrics_doc.Find("counters");
   ASSERT_NE(counters, nullptr) << metrics_doc.Dump();
   EXPECT_GE(counters->GetInt("serve_requests_total"), 1);
   EXPECT_GE(counters->GetInt("serve_admitted_total"), 1);
-  EXPECT_EQ(counters->GetInt("serve_jobs_done_total"), 1);
+  EXPECT_EQ(counters->GetInt("serve_jobs_done_total"), 2);
   EXPECT_GE(counters->GetInt("engine_estimate_calls_total"), 1);
   const json::Value* gauges = metrics_doc.Find("gauges");
   ASSERT_NE(gauges, nullptr);
-  EXPECT_EQ(gauges->GetDouble("serve_sessions"), 1.0);
+  EXPECT_EQ(gauges->GetDouble("serve_sessions"), 3.0);
   const json::Value* histograms = metrics_doc.Find("histograms");
   ASSERT_NE(histograms, nullptr);
-  for (const char* key :
-       {"serve_stage_ns{stage=\"parse\"}", "serve_stage_ns{stage=\"admit\"}",
-        "serve_stage_ns{stage=\"dispatch\"}",
-        "serve_stage_ns{stage=\"run\"}", "serve_submit_to_done_ns",
-        "serve_round_stage_ns{stage=\"estimate\"}", "serve_batch_size",
-        "engine_task_wait_ns"}) {
+  for (const std::string& key : populated) {
     const json::Value* h = histograms->Find(key);
     ASSERT_NE(h, nullptr) << key;
     EXPECT_GE(h->GetInt("count"), 1) << key;
