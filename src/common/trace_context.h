@@ -5,7 +5,7 @@
 // A trace id is a non-zero uint64, rendered on the wire and in logs as 16
 // lowercase hex digits. The serve path installs a TraceScope around every
 // request it handles (worker thread) and around every job it executes
-// (dispatcher thread, from the id stored on the session), so any code the
+// (admission lane, from the id stored on the session), so any code the
 // request reaches — logging, the recorder, store appends — can pick up the
 // current id without plumbing it through every signature.
 //

@@ -7,6 +7,7 @@
 #define SLICETUNER_CORE_SLICE_TUNER_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -76,6 +77,12 @@ class SliceTuner {
 
   const Dataset& train() const { return train_; }
   const Dataset& validation() const { return validation_; }
+  /// Swaps in new training and validation rows; the curve cache stays (a
+  /// serving session frees its rows between jobs this way).
+  void ReplaceRows(Dataset train, Dataset validation) {
+    train_ = std::move(train);
+    validation_ = std::move(validation);
+  }
   int num_slices() const { return num_slices_; }
   std::vector<size_t> SliceSizes() const {
     return train_.SliceSizes(num_slices_);

@@ -55,7 +55,7 @@ EngineMetrics& Metrics() {
 
 // RAII flight-recorder event: one `estimate` record per Estimate() call,
 // arg = elapsed ns, stamped with the calling thread's trace context (the
-// dispatcher installs the job's trace before entering the engine).
+// serve lane installs the job's trace before entering the engine).
 struct RecordEstimateEvent {
   uint64_t start = obs::MonotonicNanos();
   ~RecordEstimateEvent() {

@@ -51,7 +51,7 @@ enum class EventKind : uint32_t {
   kRequestDone = 2,   // response written; arg = 1 ok / 0 error
   kAdmit = 3,         // admission accepted; arg = queue depth after
   kShed = 4,          // admission shed; arg = retry_after_ms
-  kDispatch = 5,      // dispatcher drained the job to a runner; arg = shard
+  kDispatch = 5,      // a lane popped the job to run it; arg = lanes in flight
   kJobStart = 6,      // RunJob entered; arg = queue wait ns
   kJobDone = 7,       // job reached a terminal phase; arg = run ns
   kRoundStart = 8,    // tuning round opened; arg = round index

@@ -4,25 +4,23 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "obs/recorder.h"
 #include "serve/serve_metrics.h"
 
 namespace slicetuner {
 namespace serve {
 
-AdmissionController::AdmissionController(AdmissionOptions options)
-    : options_(std::move(options)) {
+AdmissionController::AdmissionController(AdmissionOptions options,
+                                         Runner runner, size_t max_lanes)
+    : options_(std::move(options)),
+      runner_(std::move(runner)),
+      max_lanes_(max_lanes > 0 ? max_lanes
+                               : DefaultThreadPool().num_threads()) {
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
-  if (options_.max_batch == 0) options_.max_batch = 1;
-  if (options_.num_shards == 0) options_.num_shards = 1;
-  queues_.resize(options_.num_shards);
 }
 
-size_t AdmissionController::TotalDepthLocked() const {
-  size_t depth = 0;
-  for (const std::deque<uint64_t>& queue : queues_) depth += queue.size();
-  return depth;
-}
+AdmissionController::~AdmissionController() { WaitIdle(); }
 
 Status AdmissionController::Admit(uint64_t session_id) {
   // Probe outside the lock: the probe may itself take the pool lock.
@@ -30,12 +28,13 @@ Status AdmissionController::Admit(uint64_t session_id) {
   if (options_.max_executor_backlog > 0 && options_.backlog_probe) {
     backlog = options_.backlog_probe();
   }
+  bool start_lane = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) {
       return Status::FailedPrecondition("server is shutting down");
     }
-    const size_t depth = TotalDepthLocked();
+    const size_t depth = queue_.size();
     if (depth >= options_.max_queue_depth) {
       ++stats_.shed_queue_full;
       ServeMetrics::Get().shed_queue_full->Add();
@@ -55,38 +54,35 @@ Status AdmissionController::Admit(uint64_t session_id) {
           "executor backlog %zu exceeds %zu", backlog,
           options_.max_executor_backlog));
     }
-    queues_[session_id % options_.num_shards].push_back(session_id);
+    queue_.push_back(session_id);
     ++stats_.admitted;
     stats_.max_depth_seen = std::max(stats_.max_depth_seen, depth + 1);
     ServeMetrics::Get().admitted->Add();
     ServeMetrics::Get().queue_depth->Set(static_cast<double>(depth + 1));
     obs::Recorder::Global().RecordHere(obs::EventKind::kAdmit,
                                        static_cast<int64_t>(depth + 1));
+    start_lane = runner_ != nullptr && lanes_ < max_lanes_;
+    if (start_lane) ++lanes_;
   }
-  // All shard dispatchers share one cv; a wrong-shard wakeup just re-waits.
-  work_cv_.notify_all();
+  if (start_lane) DefaultThreadPool().Submit([this] { RunLane(); });
   return Status::OK();
 }
 
-std::vector<uint64_t> AdmissionController::NextBatch(size_t shard) {
+void AdmissionController::RunLane() {
   std::unique_lock<std::mutex> lock(mu_);
-  shard %= options_.num_shards;
-  std::deque<uint64_t>& queue = queues_[shard];
-  work_cv_.wait(lock, [this, &queue] { return stopped_ || !queue.empty(); });
-  std::vector<uint64_t> batch;
-  const size_t take = std::min(queue.size(), options_.max_batch);
-  batch.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    batch.push_back(queue.front());
-    queue.pop_front();
+  while (!queue_.empty()) {
+    const uint64_t session_id = queue_.front();
+    queue_.pop_front();
+    ServeMetrics::Get().queue_depth->Set(static_cast<double>(queue_.size()));
+    const size_t lanes = lanes_;
+    lock.unlock();
+    runner_(session_id, lanes);
+    lock.lock();
   }
-  if (!batch.empty()) {
-    ++stats_.batches;
-    ServeMetrics::Get().batch_size->Record(batch.size());
-    ServeMetrics::Get().queue_depth->Set(
-        static_cast<double>(TotalDepthLocked()));
-  }
-  return batch;
+  // The empty check and the retirement share one critical section with
+  // Admit's push and lane count check: no id can be pushed in between and
+  // be left without a lane.
+  if (--lanes_ == 0) idle_cv_.notify_all();
 }
 
 void AdmissionController::AdmitCancel(uint64_t session_id) {
@@ -111,18 +107,17 @@ void AdmissionController::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
   }
-  work_cv_.notify_all();
   cancel_cv_.notify_all();
 }
 
-bool AdmissionController::stopped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stopped_;
+void AdmissionController::WaitIdle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return lanes_ == 0; });
 }
 
 size_t AdmissionController::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return TotalDepthLocked();
+  return queue_.size();
 }
 
 AdmissionStats AdmissionController::stats() const {

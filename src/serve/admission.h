@@ -1,25 +1,20 @@
-// Admission control for the tuning service: bounded session-affinity
-// sharded FIFOs with load shedding and micro-batching, plus an unbounded
+// Admission control for the tuning service: one bounded FIFO with load
+// shedding, drained by lanes on the shared thread pool, plus an unbounded
 // cancel-resolution lane.
 //
 //  * Shedding — Admit() rejects with ResourceExhausted (and a retry-after
-//    hint the protocol layer forwards to clients) when the queues hold
-//    max_queue_depth sessions in total, or when the executor backlog probe
-//    — wired to ThreadPool::PendingCount() by the server — reports the
-//    pool already saturated. Rejecting at the door keeps latency bounded
-//    instead of letting the queue grow without limit.
+//    hint the protocol layer forwards to clients) when max_queue_depth
+//    admitted sessions have not started yet, or when the executor backlog
+//    probe — wired to ThreadPool::PendingCount() by the server — reports
+//    the pool already saturated. Rejecting at the door keeps latency
+//    bounded instead of letting the queue grow without limit.
 //
-//  * Micro-batching — NextBatch(shard) blocks until work arrives on that
-//    shard, then drains up to max_batch compatible sessions at once. The
-//    dispatcher fans the whole batch out through one ParallelFor, so
-//    concurrent curve-estimation jobs share one fan-out over the pool
-//    instead of serializing per-request.
-//
-//  * Session affinity — a session id always lands on shard
-//    `id % num_shards`, so every job of one session is dispatched by the
-//    same dispatcher thread, in submit order, and one hot session (long
-//    jobs, tight resubmit loop) can only ever saturate its own shard
-//    while the other dispatchers keep draining theirs.
+//  * Lanes — Admit() also starts a lane on DefaultThreadPool() whenever
+//    fewer than max_lanes are running. A lane runs the queued ids in FIFO
+//    order until the queue is empty, then retires, so no job waits for an
+//    unrelated one while a lane is free. The lane count check, the push
+//    and the retire decision share one lock: an id pushed just as the last
+//    lane retires is never left behind.
 //
 //  * Cancel lane — AdmitCancel() enqueues a session whose pending cancel
 //    just needs resolving (RunJob with the cancel flag set resolves
@@ -44,43 +39,41 @@ namespace slicetuner {
 namespace serve {
 
 struct AdmissionOptions {
-  /// Queue slots (across all shards) before Admit sheds load.
+  /// Admitted-but-unstarted sessions before Admit sheds load.
   size_t max_queue_depth = 16;
-  /// Sessions drained per NextBatch (one engine fan-out).
-  size_t max_batch = 8;
   /// Retry hint attached to shed rejections.
   int retry_after_ms = 50;
   /// When > 0, Admit also sheds while backlog_probe() exceeds this bound.
   size_t max_executor_backlog = 0;
   /// Executor saturation signal (e.g. the shared pool's PendingCount).
   std::function<size_t()> backlog_probe;
-  /// Session-affinity dispatch shards; the server runs one dispatcher
-  /// thread per shard. 1 preserves the single strict-FIFO dispatcher.
-  size_t num_shards = 1;
 };
 
 struct AdmissionStats {
   size_t admitted = 0;
   size_t shed_queue_full = 0;
   size_t shed_backlog = 0;
-  size_t batches = 0;
   size_t max_depth_seen = 0;
   size_t cancels_admitted = 0;
 };
 
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionOptions options = {});
+  /// Runs one admitted session's job on a lane; `lanes` is the number of
+  /// lanes in flight when the id was popped.
+  using Runner = std::function<void(uint64_t session_id, size_t lanes)>;
 
-  /// Enqueues a session id on its affinity shard, or sheds:
+  /// Without a runner, admitted ids only queue. `max_lanes` 0 means one
+  /// lane per DefaultThreadPool() thread.
+  explicit AdmissionController(AdmissionOptions options = {},
+                               Runner runner = nullptr, size_t max_lanes = 0);
+  /// Waits for the running lanes to drain the queue.
+  ~AdmissionController();
+
+  /// Enqueues a session id (starting a lane if one is free), or sheds:
   /// ResourceExhausted with the configured retry-after encoded for the
   /// caller via retry_after_ms().
   Status Admit(uint64_t session_id);
-
-  /// Blocks until at least one session is queued on `shard` (returning up
-  /// to max_batch of them, FIFO) or Stop() was called (returning what is
-  /// left on the shard, possibly empty).
-  std::vector<uint64_t> NextBatch(size_t shard = 0);
 
   /// Enqueues a session on the cancel-resolution lane (unbounded, never
   /// shed; accepted even after Stop so in-flight sheds still resolve).
@@ -90,26 +83,30 @@ class AdmissionController {
   /// called (returning what is left, possibly empty).
   std::vector<uint64_t> NextCancels();
 
-  /// Unblocks NextBatch/NextCancels; subsequent Admit calls fail
-  /// FailedPrecondition.
+  /// Unblocks NextCancels; subsequent Admit calls fail FailedPrecondition.
+  /// Running lanes keep draining what was admitted before.
   void Stop();
-  bool stopped() const;
 
-  /// Queued sessions across all shards (cancel lane excluded).
+  /// Blocks until no lane is running (the queue is then empty).
+  void WaitIdle();
+
+  /// Admitted sessions no lane has started yet (cancel lane excluded).
   size_t depth() const;
-  size_t num_shards() const { return options_.num_shards; }
   int retry_after_ms() const { return options_.retry_after_ms; }
   AdmissionStats stats() const;
 
  private:
-  size_t TotalDepthLocked() const;
+  void RunLane();
 
   AdmissionOptions options_;
+  const Runner runner_;
+  const size_t max_lanes_;
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;
   std::condition_variable cancel_cv_;
-  std::vector<std::deque<uint64_t>> queues_;  // one per shard
+  std::condition_variable idle_cv_;
+  std::deque<uint64_t> queue_;
   std::deque<uint64_t> cancels_;
+  size_t lanes_ = 0;
   AdmissionStats stats_;
   bool stopped_ = false;
 };

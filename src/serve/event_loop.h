@@ -1,6 +1,6 @@
 // Thin epoll wrapper for the serving workers: one EventLoop per worker
 // thread, owning an epoll instance plus an eventfd so other threads
-// (dispatcher, cancel resolver, shutdown) can wake a sleeping worker.
+// (admission lanes, cancel resolver, shutdown) can wake a sleeping worker.
 //
 // Connection fds register edge-triggered (EPOLLET): the worker must drain
 // reads to EAGAIN and only re-arms EPOLLOUT while output is actually

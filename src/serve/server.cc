@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/parallel_for.h"
 #include "common/thread_pool.h"
 #include "common/trace_context.h"
 #include "obs/metrics.h"
@@ -31,7 +30,7 @@ namespace {
 constexpr uint64_t kListenTag = 0;
 
 // Idle tick of a worker with no live streams: nothing to flush on a
-// cadence, and the dispatcher/cancel/shutdown paths Wake() it explicitly.
+// cadence, and the lane/cancel/shutdown paths Wake() it explicitly.
 constexpr int kIdlePollMs = 200;
 
 // Events a `trace` request returns when the client names no limit.
@@ -65,7 +64,12 @@ int ResolveWorkerCount(int requested) {
 
 TuningServer::TuningServer(ServerOptions options)
     : options_(std::move(options)),
-      admission_(WithDefaultProbe(options_.admission)) {}
+      admission_(WithDefaultProbe(options_.admission),
+                 [this](uint64_t session_id, size_t lanes) {
+                   RunAdmitted(session_id, lanes);
+                 },
+                 static_cast<size_t>(
+                     std::max(0, options_.max_concurrent_sessions))) {}
 
 TuningServer::~TuningServer() {
   RequestShutdown();
@@ -173,9 +177,6 @@ Status TuningServer::Start() {
     Worker* w = worker.get();
     w->thread = std::thread([this, w] { WorkerLoop(w); });
   }
-  for (size_t shard = 0; shard < admission_.num_shards(); ++shard) {
-    dispatch_threads_.emplace_back([this, shard] { DispatchLoop(shard); });
-  }
   cancel_thread_ = std::thread([this] { CancelLoop(); });
   return Status::OK();
 }
@@ -184,9 +185,9 @@ void TuningServer::Wait() {
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
-  for (std::thread& dispatcher : dispatch_threads_) {
-    if (dispatcher.joinable()) dispatcher.join();
-  }
+  // A lane may still be recording the outcome of a job whose session
+  // already turned terminal (which let the workers exit).
+  admission_.WaitIdle();
   if (cancel_thread_.joinable()) cancel_thread_.join();
   // Quiesce maintenance before the closing checkpoint: a checkpoint in
   // flight completes, and no new one starts underneath WriteFinalSnapshot.
@@ -223,17 +224,15 @@ json::Value TuningServer::StatsJson() const {
                      shed_restoring_.load(std::memory_order_relaxed));
   admission_json.Set("retry_after_sent",
                      retry_after_sent_.load(std::memory_order_relaxed));
-  admission_json.Set("batches", admission.batches);
   admission_json.Set("max_depth_seen", admission.max_depth_seen);
   admission_json.Set("queue_depth", admission_.depth());
   admission_json.Set("cancels_admitted", admission.cancels_admitted);
   admission_json.Set("cancels_resolved",
                      cancels_resolved_.load(std::memory_order_relaxed));
   out.Set("admission", std::move(admission_json));
-  // Event-loop shape: how requests spread over workers and dispatchers.
+  // Event-loop shape: how requests spread over workers.
   json::Value transport = json::Value::Object();
   transport.Set("workers", workers_.size());
-  transport.Set("dispatch_shards", admission_.num_shards());
   transport.Set("open_connections",
                 open_connections_.load(std::memory_order_relaxed));
   transport.Set("dropped_output_overflow",
@@ -275,50 +274,28 @@ json::Value TuningServer::StatsJson() const {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatchers: admission shards -> one engine fan-out per micro-batch.
+// Lanes: each admitted job runs on a pool thread as soon as a lane is free.
 // ---------------------------------------------------------------------------
 
-void TuningServer::DispatchLoop(size_t shard) {
-  for (;;) {
-    const std::vector<uint64_t> batch = admission_.NextBatch(shard);
-    if (batch.empty()) {
-      if (admission_.stopped()) return;
-      continue;
-    }
-    // Batches drained after a shutdown request are queued-but-unstarted
-    // work: cancel them up front so RunJob resolves each one cancelled
-    // without running, honoring the graceful-shutdown contract (server.h).
-    const bool cancel_batch =
-        shutdown_requested_.load(std::memory_order_relaxed);
-    obs::ScopedTimer dispatch_timer(ServeMetrics::Get().dispatch_ns);
-    std::vector<TuningSession*> runnable;
-    runnable.reserve(batch.size());
-    for (const uint64_t id : batch) {
-      TuningSession* session = sessions_.FindById(id);
-      if (session == nullptr) continue;
-      if (cancel_batch) session->RequestCancel();
-      obs::Recorder::Global().Record(obs::EventKind::kDispatch,
-                                     session->trace_id(),
-                                     session->name().c_str(),
-                                     static_cast<int64_t>(shard));
-      runnable.push_back(session);
-    }
-    // One lane per session up to the cap; a batch of one runs on this
-    // thread. RunJob reports failures in-band, so every slot is filled.
-    std::vector<Status> statuses(runnable.size());
-    ParallelOptions lanes;
-    lanes.num_threads = options_.max_concurrent_sessions;
-    ParallelFor(
-        runnable.size(),
-        [&](size_t i) { statuses[i] = runnable[i]->RunJob(); }, lanes);
-    // Outcomes are recorded here, in batch order, because RecordOutcome
-    // reaches into store maintenance. A session must not be touched again
-    // after its RunJob: a worker may already have resumed and re-admitted it.
-    for (const Status& status : statuses) sessions_.RecordOutcome(status);
-    // The batch's subscribers have done frames waiting; don't make them
-    // ride out an idle worker's full poll timeout.
-    WakeWorkers();
+void TuningServer::RunAdmitted(uint64_t session_id, size_t lanes) {
+  obs::ScopedTimer dispatch_timer(ServeMetrics::Get().dispatch_ns);
+  TuningSession* session = sessions_.FindById(session_id);
+  if (session == nullptr) return;
+  // A job popped after a shutdown request is queued-but-unstarted work:
+  // cancel it up front so RunJob resolves it cancelled without running,
+  // honoring the graceful-shutdown contract (server.h).
+  if (shutdown_requested_.load(std::memory_order_relaxed)) {
+    session->RequestCancel();
   }
+  obs::Recorder::Global().Record(obs::EventKind::kDispatch,
+                                 session->trace_id(), session->name().c_str(),
+                                 static_cast<int64_t>(lanes));
+  // RunJob reports failures in-band. The session must not be touched after
+  // it returns: a worker may already have resumed and re-admitted it.
+  sessions_.RecordOutcome(session->RunJob());
+  // The job's subscribers have a done frame waiting; don't make them ride
+  // out an idle worker's full poll timeout.
+  WakeWorkers();
 }
 
 // ---------------------------------------------------------------------------
@@ -327,11 +304,9 @@ void TuningServer::DispatchLoop(size_t shard) {
 
 void TuningServer::CancelLoop() {
   for (;;) {
+    // Empty only once admission stopped and the lane is drained.
     const std::vector<uint64_t> cancels = admission_.NextCancels();
-    if (cancels.empty()) {
-      if (admission_.stopped()) return;
-      continue;
-    }
+    if (cancels.empty()) return;
     for (const uint64_t id : cancels) {
       TuningSession* session = sessions_.FindById(id);
       if (session == nullptr) continue;
@@ -356,7 +331,7 @@ void TuningServer::CancelLoop() {
 void TuningServer::WorkerLoop(Worker* worker) {
   std::vector<EventLoop::Event> events;
   for (;;) {
-    // Exit once shutdown is requested and the dispatchers have drained:
+    // Exit once shutdown is requested and the lanes have drained:
     // all streams can then be closed out with final frames.
     const bool draining = shutdown_requested_.load(std::memory_order_relaxed);
     if (draining && sessions_.active_count() == 0) break;
@@ -529,8 +504,8 @@ void TuningServer::HandleLine(Worker* worker, Connection* conn,
   }
   // Every request runs inside a trace: the client's id when supplied,
   // minted here otherwise. The scope makes the id visible to logging, the
-  // flight recorder, and (via TuningSession::SetTraceId) the dispatcher
-  // thread that later runs the job.
+  // flight recorder, and (via TuningSession::SetTraceId) the lane that
+  // later runs the job.
   uint64_t trace_id = trace::ParseTraceId(request->trace_id);
   if (trace_id == 0) trace_id = trace::MintTraceId();
   trace::TraceScope trace_scope(trace_id, request->session);
@@ -588,7 +563,7 @@ json::Value TuningServer::HandleRequest(Connection* conn,
         return ErrorResponse(session.status());
       }
       // The session inherits the submit's trace id before admission can
-      // hand it to a dispatcher: RunJob always sees the id that armed it.
+      // hand it to a lane: RunJob always sees the id that armed it.
       (*session)->SetTraceId(trace::CurrentTraceId());
       const Status admitted = admission_.Admit((*session)->id());
       if (!admitted.ok()) {

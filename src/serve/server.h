@@ -4,21 +4,21 @@
 // (EPOLLEXCLUSIVE) and fully owns each connection it accepts — framing,
 // request handling, stream flushing, and teardown all happen on that one
 // thread, so connection state needs no locks and fds never migrate between
-// threads (src/serve/event_loop.h, connection.h). One dispatcher thread
-// per admission shard drains its shard in micro-batches and fans each
-// batch out through one ParallelFor (common/parallel_for.h) over the shared
-// thread pool; a session's id pins it to one shard, so a hot session can
-// only ever stall its own dispatcher. A dedicated cancel-resolver thread
-// resolves pending cancels (shed resumptions, explicit cancels of queued
-// sessions) so no worker or dispatcher ever blocks on a session's RunJob
-// for them. Progress frames appended by running sessions are flushed to
-// `stream` subscribers on every worker tick, bounded by per-connection
-// output backpressure (connection.h).
+// threads (src/serve/event_loop.h, connection.h). Admitted jobs wait in one
+// FIFO (src/serve/admission.h) drained by up to max_concurrent_sessions
+// lanes on the shared thread pool: each lane runs one job at a time and
+// pulls the next admitted one as soon as it finishes. A dedicated
+// cancel-resolver thread resolves pending cancels (shed resumptions,
+// explicit cancels of queued sessions) so no worker ever blocks on a
+// session's RunJob for them, and no cancel waits behind a running job.
+// Progress frames appended by running sessions are flushed to `stream`
+// subscribers on every worker tick, bounded by per-connection output
+// backpressure (connection.h).
 //
 // Graceful shutdown (shutdown request or RequestShutdown()): the workers
-// stop admitting, the admission queues unblock the dispatchers, batches in
-// flight run to completion (queued-but-unstarted sessions resolve
-// cancelled), streams are closed out with done frames, and Wait() returns.
+// stop admitting, jobs in flight run to completion, queued-but-unstarted
+// sessions resolve cancelled, streams are closed out with done frames, and
+// Wait() returns once every lane has retired.
 
 #ifndef SLICETUNER_SERVE_SERVER_H_
 #define SLICETUNER_SERVE_SERVER_H_
@@ -48,12 +48,11 @@ struct ServerOptions {
   /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// with port()).
   int port = 0;
-  /// Concurrent sessions per batched fan-out: 0 = one per pool lane.
+  /// Jobs running at once (admission lanes): 0 = one per pool thread.
   int max_concurrent_sessions = 0;
-  /// admission.num_shards also sets the dispatcher thread count.
   AdmissionOptions admission;
   /// Stream-flush cadence of a worker with live streams; idle workers
-  /// sleep longer and are woken by the dispatcher/shutdown.
+  /// sleep longer and are woken by finished jobs/shutdown.
   int poll_interval_ms = 20;
   /// Epoll worker threads; 0 = min(4, hardware_concurrency).
   int num_workers = 0;
@@ -93,14 +92,14 @@ class TuningServer {
   TuningServer(const TuningServer&) = delete;
   TuningServer& operator=(const TuningServer&) = delete;
 
-  /// Binds, listens, and launches the worker + dispatcher + cancel threads.
+  /// Binds, listens, and launches the worker and cancel threads.
   Status Start();
 
   /// The bound port (valid after Start).
   int port() const { return port_; }
 
   /// Blocks until the server has shut down (via a shutdown request or
-  /// RequestShutdown) and every thread has exited.
+  /// RequestShutdown), every thread has exited, and every lane retired.
   void Wait();
 
   /// Programmatic graceful shutdown; idempotent.
@@ -135,7 +134,7 @@ class TuningServer {
   };
 
   void WorkerLoop(Worker* worker);
-  void DispatchLoop(size_t shard);
+  void RunAdmitted(uint64_t session_id, size_t lanes);
   void CancelLoop();
   void WakeWorkers();
 
@@ -177,7 +176,6 @@ class TuningServer {
   std::atomic<size_t> connections_dropped_overflow_{0};
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> dispatch_threads_;
   std::thread cancel_thread_;
 };
 

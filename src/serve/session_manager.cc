@@ -111,6 +111,16 @@ void TuningSession::LogEventLocked(json::Value event) {
   }
 }
 
+void TuningSession::LogAcquireLocked(int round, int slice, long long count) {
+  acquire_log_.push_back({round, slice, count});
+  json::Value event = json::Value::Object();
+  event.Set("event", "acquire");
+  event.Set("round", round);
+  event.Set("slice", slice);
+  event.Set("n", count);
+  LogEventLocked(std::move(event));
+}
+
 void TuningSession::LogDropped() {
   std::lock_guard<std::mutex> lock(mu_);
   json::Value event = json::Value::Object();
@@ -273,7 +283,7 @@ Status TuningSession::RunJob() {
     job = pending_job_;
     job_round_spans_.clear();
   }
-  // The dispatcher thread enters the trace the submit started: everything
+  // The lane running the job enters the trace the submit started: everything
   // the job touches from here — logs, recorder events, store appends —
   // carries the submit's trace id.
   trace::TraceScope trace_scope(trace_id_.load(std::memory_order_relaxed),
@@ -306,6 +316,12 @@ Status TuningSession::RunJob() {
     if (has_cache_stats) {
       cache_stats_ = cache_stats;
       has_cache_stats_ = true;
+    }
+    if (source_ != nullptr) {
+      // Rest: only the curve cache stays resident until the next job.
+      resting_ = tuner_->SerializeResting();
+      tuner_->ReplaceRows(Dataset(), Dataset());
+      source_.reset();
     }
     ++jobs_run_;
     last_job_wall_seconds_ = wall;
@@ -421,33 +437,52 @@ Status TuningSession::ExecuteJob(const JobSpec& job) {
     event.Set("event", "world");
     event.Set("job", creation_job_.ToJson());
     LogEventLocked(std::move(event));
-  } else if (job.append_rows > 0) {
-    // Incremental update: new rows for one slice arrive with the
-    // resubmission. Only that slice's content hash changes, so the next
-    // estimation partially refits instead of running cold.
-    const int round = next_round_index_;
-    source_->BeginRound(round);
-    const Dataset batch = source_->Acquire(
-        job.append_slice, static_cast<size_t>(job.append_rows));
-    // The append consumed this round index's acquisition stream; advance so
-    // the job's first round draws fresh examples instead of replaying the
-    // exact draws that produced the appended rows (BeginRound re-seeds as a
-    // pure function of (seed, round)).
-    ++next_round_index_;
-    ST_RETURN_NOT_OK(tuner_->AppendTrainingData(batch));
-    std::lock_guard<std::mutex> lock(mu_);
-    rows_ = static_cast<long long>(tuner_->train().size());
-    if (store_ != nullptr) {
-      acquire_log_.push_back({round, job.append_slice, job.append_rows});
-      json::Value event = json::Value::Object();
-      event.Set("event", "acquire");
-      event.Set("round", round);
-      event.Set("slice", job.append_slice);
-      event.Set("n", job.append_rows);
-      LogEventLocked(std::move(event));
+  } else {
+    if (source_ == nullptr) ST_RETURN_NOT_OK(WakeWorld());
+    if (job.append_rows > 0) {
+      // Incremental update: new rows for one slice arrive with the
+      // resubmission. Only that slice's content hash changes, so the next
+      // estimation partially refits instead of running cold.
+      const int round = next_round_index_;
+      source_->BeginRound(round);
+      const Dataset batch = source_->Acquire(
+          job.append_slice, static_cast<size_t>(job.append_rows));
+      // The append consumed this round index's acquisition stream; advance
+      // so the job's first round draws fresh examples instead of replaying
+      // the exact draws that produced the appended rows (BeginRound
+      // re-seeds as a pure function of (seed, round)).
+      ++next_round_index_;
+      ST_RETURN_NOT_OK(tuner_->AppendTrainingData(batch));
+      std::lock_guard<std::mutex> lock(mu_);
+      rows_ = static_cast<long long>(tuner_->train().size());
+      LogAcquireLocked(round, job.append_slice, job.append_rows);
     }
   }
   return RunRounds(job);
+}
+
+Status TuningSession::ReplayAcquires() {
+  int round = -1;
+  for (const AcquireRecord& record : acquire_log_) {
+    // BeginRound re-anchors the round's draw stream, so it must run once
+    // per round — repeating it would replay the round's first draws
+    // instead of continuing them.
+    if (record.round != round) {
+      round = record.round;
+      source_->BeginRound(round);
+    }
+    ST_RETURN_NOT_OK(tuner_->AppendTrainingData(source_->Acquire(
+        record.slice, static_cast<size_t>(record.count))));
+  }
+  return Status::OK();
+}
+
+Status TuningSession::WakeWorld() {
+  source_ =
+      std::make_unique<sim::ScriptedSource>(ScenarioFromJob(creation_job_));
+  tuner_->ReplaceRows(source_->GenerateInitial(),
+                      source_->GenerateValidation());
+  return ReplayAcquires();
 }
 
 Status TuningSession::RunRounds(const JobSpec& job) {
@@ -547,21 +582,12 @@ Status TuningSession::RunRounds(const JobSpec& job) {
       job_round_spans_.push_back(span_json);
       frame.Set("span", std::move(span_json));
       frames_.push_back(frame);
-      if (store_ != nullptr) {
-        // Journal the round's acquisitions in slice order — the order the
-        // batches consumed the round's draw stream, which recovery must
-        // replay exactly.
-        for (size_t s = 0; s < round.acquired.size(); ++s) {
-          if (round.acquired[s] <= 0) continue;
-          acquire_log_.push_back(
-              {round.round, static_cast<int>(s), round.acquired[s]});
-          json::Value event = json::Value::Object();
-          event.Set("event", "acquire");
-          event.Set("round", round.round);
-          event.Set("slice", s);
-          event.Set("n", round.acquired[s]);
-          LogEventLocked(std::move(event));
-        }
+      // Log the round's acquisitions in slice order — the order the
+      // batches consumed the round's draw stream, which WakeWorld and
+      // recovery must replay exactly.
+      for (size_t s = 0; s < round.acquired.size(); ++s) {
+        if (round.acquired[s] <= 0) continue;
+        LogAcquireLocked(round.round, static_cast<int>(s), round.acquired[s]);
       }
     }
     ++next_round_index_;
@@ -634,7 +660,8 @@ json::Value TuningSession::DurableState() const {
   // Under mu_ with a non-running phase that is guaranteed: RunJob's first
   // transition to kRunning takes mu_, so it cannot start while we hold it.
   if (phase_ != SessionPhase::kRunning && tuner_ != nullptr) {
-    out.Set("resting", tuner_->SerializeResting());
+    out.Set("resting",
+            source_ != nullptr ? tuner_->SerializeResting() : resting_);
   }
   return out;
 }
@@ -688,20 +715,12 @@ Result<std::unique_ptr<TuningSession>> TuningSession::Restore(
               "acquire record [%lld, %lld, %lld] out of range", round,
               slice, count));
         }
-        // BeginRound re-anchors the round's draw stream, so it must run
-        // once per round — repeating it would replay the round's first
-        // draws instead of continuing them.
-        if (round != last_replayed_round) {
-          session->source_->BeginRound(static_cast<int>(round));
-          last_replayed_round = static_cast<int>(round);
-        }
-        const Dataset batch = session->source_->Acquire(
-            static_cast<int>(slice), static_cast<size_t>(count));
-        ST_RETURN_NOT_OK(session->tuner_->AppendTrainingData(batch));
+        last_replayed_round = static_cast<int>(round);
         session->acquire_log_.push_back({static_cast<int>(round),
                                          static_cast<int>(slice), count});
       }
     }
+    ST_RETURN_NOT_OK(session->ReplayAcquires());
     session->rows_ =
         static_cast<long long>(session->tuner_->train().size());
     // Install the fitted-curve cache. Every entry is validated against the

@@ -7,10 +7,9 @@
 // maintenance-under-updates contract of the ROADMAP).
 //
 // Threading: the server's poll loop reads snapshots/frames and requests
-// cancellation while the dispatcher thread executes RunJob on an engine
-// lane; all session state is guarded by one per-session mutex (the tuner
-// itself is only touched by RunJob, which the phase machine keeps
-// single-flight).
+// cancellation while an admission lane (a pool thread) executes RunJob;
+// all session state is guarded by one per-session mutex (the tuner itself
+// is only touched by RunJob, which the phase machine keeps single-flight).
 //
 // Durability (src/store/, docs/STATE.md): when a store::DurableStore is
 // attached, every session journals its lifecycle — create / resume /
@@ -88,7 +87,7 @@ class TuningSession {
 
   /// Installs the trace id of the submit that armed the pending job. The
   /// server calls this right after Register/Resume, before admission hands
-  /// the session to a dispatcher, so RunJob always sees the id that minted
+  /// the session to a lane, so RunJob always sees the id that minted
   /// it (docs/OBSERVABILITY.md, "Request tracing").
   void SetTraceId(uint64_t trace_id) {
     trace_id_.store(trace_id, std::memory_order_relaxed);
@@ -167,9 +166,15 @@ class TuningSession {
   /// Builds the session's data world from its creation job (cold path of
   /// ExecuteJob and the recovery replay). Sets source_/tuner_/rows_.
   Status BuildWorld(const JobSpec& job);
+  /// Re-derives the rows acquired since the world was built, in log order.
+  Status ReplayAcquires();
+  /// Regenerates a resting session's rows from a fresh source.
+  Status WakeWorld();
   /// Appends one journal event (requires mu_ held; no-op without a store).
   /// Adds session/id/seq envelope fields and advances the sequence number.
   void LogEventLocked(json::Value event);
+  /// Records one acquisition in acquire_log_ and journals it (mu_ held).
+  void LogAcquireLocked(int round, int slice, long long count);
 
   const uint64_t id_;
   const std::string name_;
@@ -195,12 +200,14 @@ class TuningSession {
   json::Value last_trace_tree_;
 
   // Long-lived tuning state (only RunJob touches these; single-flight by
-  // phase machine).
+  // phase machine). After each job the tuner keeps only its curve cache,
+  // source_ is null, and resting_ holds the SerializeResting() taken last.
   std::unique_ptr<SliceTuner> tuner_;
   std::unique_ptr<sim::ScriptedSource> source_;
+  json::Value resting_;
   int next_round_index_ = 0;  // monotone across jobs: keeps draws fresh
 
-  // Durability bookkeeping (guarded by mu_; only used with a store).
+  // Acquisitions since the world was built (guarded by mu_).
   std::vector<AcquireRecord> acquire_log_;
   uint64_t events_logged_ = 0;  // journal sequence number of the next event
 
@@ -280,7 +287,7 @@ class SessionManager {
   size_t active_count() const;
   size_t session_count() const;
 
-  /// Records a session's terminal outcome (called by the dispatcher).
+  /// Records a session's terminal outcome (called by the lane that ran it).
   void RecordOutcome(const Status& status);
 
   /// Invoked (outside the manager lock) after every RecordOutcome — the

@@ -10,7 +10,10 @@
 // picks an AVX2 clone when the CPU has it, else the baseline build. The AVX2
 // target deliberately excludes FMA, so the clone evaluates the identical
 // multiply-then-add sequence with wider lanes — same bits on every path.
-#if defined(__GNUC__) && defined(__x86_64__) && defined(__ELF__)
+// Not under ThreadSanitizer: the dynamic loader runs the clones' IFUNC
+// resolvers before TSan initializes, and the instrumented resolver faults.
+#if defined(__GNUC__) && defined(__x86_64__) && defined(__ELF__) && \
+    !defined(__SANITIZE_THREAD__)
 #define ST_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define ST_KERNEL_CLONES

@@ -1,5 +1,5 @@
 // Tests for the tuning service: protocol encoding/decoding, admission
-// control (shedding, micro-batching, executor-backlog probe), session
+// control (shedding, FIFO lanes, executor-backlog probe), session
 // lifecycle with the incremental partial-refit resume path, and an
 // in-process end-to-end pass over the real TCP server.
 
@@ -14,7 +14,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -143,20 +145,6 @@ TEST(AdmissionTest, ShedsWhenQueueFull) {
   EXPECT_EQ(admission.stats().shed_queue_full, 1u);
 }
 
-TEST(AdmissionTest, DrainsFifoInMicroBatches) {
-  AdmissionOptions options;
-  options.max_queue_depth = 16;
-  options.max_batch = 3;
-  AdmissionController admission(options);
-  for (uint64_t id = 1; id <= 5; ++id) {
-    ASSERT_TRUE(admission.Admit(id).ok());
-  }
-  EXPECT_EQ(admission.NextBatch(), (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(admission.NextBatch(), (std::vector<uint64_t>{4, 5}));
-  EXPECT_EQ(admission.stats().batches, 2u);
-  EXPECT_EQ(admission.stats().max_depth_seen, 5u);
-}
-
 TEST(AdmissionTest, BacklogProbeShedsOnExecutorSaturation) {
   std::atomic<size_t> backlog{0};
   AdmissionOptions options;
@@ -172,15 +160,48 @@ TEST(AdmissionTest, BacklogProbeShedsOnExecutorSaturation) {
   EXPECT_TRUE(admission.Admit(3).ok());
 }
 
-TEST(AdmissionTest, StopUnblocksWaitersAndDrainsRemainder) {
-  AdmissionController admission;
-  ASSERT_TRUE(admission.Admit(7).ok());
-  std::thread stopper([&admission] { admission.Stop(); });
-  // First batch drains the leftover, the second observes shutdown.
-  EXPECT_EQ(admission.NextBatch(), std::vector<uint64_t>{7});
-  EXPECT_TRUE(admission.NextBatch().empty());
-  stopper.join();
-  EXPECT_EQ(admission.Admit(8).code(), StatusCode::kFailedPrecondition);
+TEST(AdmissionTest, OneLaneRunsFifoAndDrainsAfterStop) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool first_running = false;
+  bool release = false;
+  std::vector<uint64_t> ran;
+  std::vector<size_t> lanes_seen;
+  AdmissionController admission(
+      AdmissionOptions{},
+      [&](uint64_t id, size_t lanes) {
+        std::unique_lock<std::mutex> lock(mu);
+        ran.push_back(id);
+        lanes_seen.push_back(lanes);
+        first_running = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+      },
+      /*max_lanes=*/1);
+  ASSERT_TRUE(admission.Admit(1).ok());
+  {
+    // Hold the only lane inside job 1 while 2..5 queue behind it.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return first_running; });
+  }
+  for (uint64_t id = 2; id <= 5; ++id) {
+    ASSERT_TRUE(admission.Admit(id).ok());
+  }
+  EXPECT_EQ(admission.depth(), 4u);
+  EXPECT_EQ(admission.stats().max_depth_seen, 4u);
+  // Stop refuses new work, but what was admitted still runs.
+  admission.Stop();
+  EXPECT_EQ(admission.Admit(6).code(), StatusCode::kFailedPrecondition);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  admission.WaitIdle();
+  EXPECT_EQ(ran, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(lanes_seen, std::vector<size_t>(5, 1));
+  EXPECT_EQ(admission.depth(), 0u);
+  EXPECT_EQ(admission.stats().admitted, 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,6 +311,33 @@ TEST(SessionTest, ResubmitWithAppendedRowsRidesPartialRefit) {
   EXPECT_GE(cache->GetInt("partial_refits"), 1);
   EXPECT_GT(cache->GetInt("slices_reused"), 0);
   EXPECT_GT(cache->GetInt("trainings_saved"), 0);
+}
+
+TEST(SessionTest, RestingSessionWakesWithIdenticalRows) {
+  // Between jobs a session frees its rows and keeps only its curve cache;
+  // the next job re-derives the rows from the creation job and acquire log.
+  SessionManager manager;
+  const Result<TuningSession*> session =
+      manager.Register(SmallJob("rest", /*rounds=*/2));
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)->RunJob().ok());
+  const json::Value rested = (*session)->DurableState();
+  const json::Value* resting = rested.Find("resting");
+  ASSERT_NE(resting, nullptr) << rested.Dump();
+
+  // A budget too small to buy a row: the job only re-estimates.
+  JobSpec idle = SmallJob("rest");
+  idle.budget = 0.5;
+  ASSERT_TRUE(manager.Register(idle).ok());
+  ASSERT_TRUE((*session)->RunJob().ok());
+  const json::Value woken = (*session)->DurableState();
+  // Same rows bit for bit, and same validation rows: every slice is served
+  // from the cache, so nothing trains.
+  EXPECT_EQ(woken.Find("resting")->GetString("data_hash"),
+            resting->GetString("data_hash"));
+  EXPECT_EQ((*session)->last_job_trainings(), 0);
+  EXPECT_EQ(woken.Find("curve_b")->Dump(), rested.Find("curve_b")->Dump());
+  EXPECT_EQ(woken.Find("curve_a")->Dump(), rested.Find("curve_a")->Dump());
 }
 
 TEST(SessionTest, RejectsSliceCountChangeOnResume) {
@@ -416,9 +464,9 @@ TEST(TuningServerTest, MetricsVerbExposesInstrumentedStack) {
   auto connection = ClientConnection::Connect(server.port());
   ASSERT_TRUE(connection.ok());
 
-  // Hold the dispatcher with a long job so "mx" and "my" queue up behind
-  // it and dispatch as one batch of two: that batch's second lane is a
-  // pool task, which populates the pool histograms.
+  // Hold a lane with a long job while "mx" and "my" run beside it (or
+  // queue behind it on a one-thread pool). Every lane is a pool task,
+  // which populates the pool histograms.
   auto held = connection->Call(SubmitRequest(SmallJob("hold", 500)));
   ASSERT_TRUE(held.ok());
   ASSERT_TRUE(IsOkResponse(*held)) << held->Dump();
@@ -444,15 +492,13 @@ TEST(TuningServerTest, MetricsVerbExposesInstrumentedStack) {
 
   // The metrics verb returns the whole registry: serve stage latencies,
   // queue/session gauges, job outcomes, engine counters, pool waits. The
-  // dispatch stage timer closes just after the sessions turn terminal, and
-  // a pool helper may be dequeued after its batch returned, so poll the
-  // verb until every histogram below has a sample.
+  // dispatch stage timer closes just after the sessions turn terminal, so
+  // poll the verb until every histogram below has a sample.
   const std::vector<std::string> populated = {
       "serve_stage_ns{stage=\"parse\"}", "serve_stage_ns{stage=\"admit\"}",
       "serve_stage_ns{stage=\"dispatch\"}",
       "serve_stage_ns{stage=\"run\"}", "serve_submit_to_done_ns",
-      "serve_round_stage_ns{stage=\"estimate\"}", "serve_batch_size",
-      "pool_queue_wait_ns"};
+      "serve_round_stage_ns{stage=\"estimate\"}", "pool_queue_wait_ns"};
   json::Value metrics_doc;
   for (int attempt = 0; attempt < 3000; ++attempt) {
     auto metrics = connection->Call(
@@ -577,8 +623,8 @@ TEST(TuningServerTest, CancelStopsARunningSession) {
 
 TEST(TuningServerTest, ShedsLoadWithRetryAfterWhenQueueIsFull) {
   ServerOptions options;
+  options.max_concurrent_sessions = 1;
   options.admission.max_queue_depth = 1;
-  options.admission.max_batch = 1;
   options.admission.retry_after_ms = 40;
   TuningServer server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -637,15 +683,17 @@ TEST(TuningServerTest, OversizedRequestLineIsRejectedAndDropped) {
 }
 
 TEST(TuningServerTest, ShutdownCancelsQueuedSessions) {
-  // The graceful-shutdown contract (server.h): the batch in flight runs to
+  // The graceful-shutdown contract (server.h): the job in flight runs to
   // completion, but sessions still queued when shutdown is requested must
   // resolve cancelled without running.
-  TuningServer server;
+  ServerOptions options;
+  options.max_concurrent_sessions = 1;
+  TuningServer server(options);
   ASSERT_TRUE(server.Start().ok());
   auto connection = ClientConnection::Connect(server.port());
   ASSERT_TRUE(connection.ok());
 
-  // Occupy the dispatcher with a long-running batch before queueing more.
+  // Occupy the only lane with a long-running job before queueing more.
   auto submitted = connection->Call(SubmitRequest(SmallJob("runner", 500)));
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(IsOkResponse(*submitted)) << submitted->Dump();
@@ -664,7 +712,7 @@ TEST(TuningServerTest, ShutdownCancelsQueuedSessions) {
   }
 
   server.RequestShutdown();
-  // Unblock the in-flight batch so shutdown completes promptly.
+  // Unblock the in-flight job so shutdown completes promptly.
   ASSERT_TRUE(server.sessions().Cancel("runner").ok());
   server.Wait();
 
@@ -674,6 +722,85 @@ TEST(TuningServerTest, ShutdownCancelsQueuedSessions) {
     EXPECT_EQ(session->phase(), SessionPhase::kCancelled) << name;
     EXPECT_EQ(session->FrameCount(), 0u) << name << " ran a round";
   }
+}
+
+TEST(TuningServerTest, ShortJobFinishesWhileLongJobRuns) {
+  // Two lanes: a 1-round job submitted behind a long one takes the free
+  // lane at once instead of waiting for the long job to end.
+  ServerOptions options;
+  options.max_concurrent_sessions = 2;
+  TuningServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  auto connection = ClientConnection::Connect(server.port());
+  ASSERT_TRUE(connection.ok());
+
+  // Every round acquires data and retrains, so this job runs for seconds.
+  JobSpec long_spec = SmallJob("long", /*rounds=*/1000);
+  long_spec.budget = 1000.0;
+  auto long_job = connection->Call(SubmitRequest(long_spec));
+  ASSERT_TRUE(long_job.ok());
+  ASSERT_TRUE(IsOkResponse(*long_job)) << long_job->Dump();
+  TuningSession* long_session = server.sessions().Find("long");
+  ASSERT_NE(long_session, nullptr);
+  for (int i = 0;
+       i < 60000 && long_session->phase() != SessionPhase::kRunning; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(long_session->phase(), SessionPhase::kRunning);
+
+  auto short_job = connection->Call(SubmitRequest(SmallJob("short", 1)));
+  ASSERT_TRUE(short_job.ok());
+  ASSERT_TRUE(IsOkResponse(*short_job)) << short_job->Dump();
+  TuningSession* short_session = server.sessions().Find("short");
+  ASSERT_NE(short_session, nullptr);
+  ASSERT_TRUE(short_session->WaitTerminal(/*timeout_ms=*/60000));
+  EXPECT_EQ(short_session->phase(), SessionPhase::kDone);
+  EXPECT_EQ(long_session->phase(), SessionPhase::kRunning)
+      << "the short job waited for the long one";
+
+  ASSERT_TRUE(server.sessions().Cancel("long").ok());
+  server.RequestShutdown();
+  server.Wait();
+}
+
+TEST(TuningServerTest, OneLaneNeverRunsTwoSessionsAtOnce) {
+  ServerOptions options;
+  options.max_concurrent_sessions = 1;
+  TuningServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  auto connection = ClientConnection::Connect(server.port());
+  ASSERT_TRUE(connection.ok());
+
+  const std::vector<std::string> names = {"one-a", "one-b", "one-c"};
+  for (const std::string& name : names) {
+    auto submitted = connection->Call(SubmitRequest(SmallJob(name, 3)));
+    ASSERT_TRUE(submitted.ok());
+    ASSERT_TRUE(IsOkResponse(*submitted)) << submitted->Dump();
+  }
+  std::vector<TuningSession*> sessions;
+  for (const std::string& name : names) {
+    sessions.push_back(server.sessions().Find(name));
+    ASSERT_NE(sessions.back(), nullptr);
+  }
+  int max_running = 0;
+  for (int i = 0; i < 600000; ++i) {
+    int running = 0;
+    int terminal = 0;
+    for (TuningSession* session : sessions) {
+      running += session->phase() == SessionPhase::kRunning ? 1 : 0;
+      terminal += session->Terminal() ? 1 : 0;
+    }
+    max_running = std::max(max_running, running);
+    if (terminal == static_cast<int>(sessions.size())) break;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_EQ(max_running, 1);
+  for (TuningSession* session : sessions) {
+    EXPECT_EQ(session->phase(), SessionPhase::kDone) << session->name();
+  }
+
+  server.RequestShutdown();
+  server.Wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -833,8 +960,8 @@ TEST(EventLoopTest, EdgeTriggeredReadEventsAndCrossThreadWake) {
 
 TEST(TuningServerTest, ShedResumedSessionResolvesOnCancelThread) {
   ServerOptions options;
+  options.max_concurrent_sessions = 1;
   options.admission.max_queue_depth = 1;
-  options.admission.max_batch = 1;
   options.admission.retry_after_ms = 30;
   TuningServer server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -850,7 +977,7 @@ TEST(TuningServerTest, ShedResumedSessionResolvesOnCancelThread) {
   ASSERT_TRUE(r->WaitTerminal(/*timeout_ms=*/60000));
   ASSERT_EQ(r->phase(), SessionPhase::kDone);
 
-  // Occupy the single dispatcher, then the depth-1 queue.
+  // Occupy the only lane, then the depth-1 queue.
   auto blocker = connection->Call(SubmitRequest(SmallJob("blocker", 500)));
   ASSERT_TRUE(blocker.ok());
   ASSERT_TRUE(IsOkResponse(*blocker)) << blocker->Dump();
@@ -1003,15 +1130,14 @@ TEST(TuningServerTest, StalledReaderIsBoundedAndDroppedAtOutputCap) {
 }
 
 // ---------------------------------------------------------------------------
-// Many concurrent connections across workers and shards (ISSUE 7)
+// Many concurrent connections across workers and lanes
 // ---------------------------------------------------------------------------
 
 TEST(TuningServerTest, ManyConnectionsInterleaveSubmitStreamCancel) {
   ServerOptions options;
   options.num_workers = 4;
-  options.admission.num_shards = 4;
+  options.max_concurrent_sessions = 4;
   options.admission.max_queue_depth = 512;
-  options.admission.max_batch = 8;
   options.admission.retry_after_ms = 5;
   options.max_connections = 300;
   TuningServer server(options);
@@ -1119,8 +1245,12 @@ TEST(TuningServerTest, ManyConnectionsInterleaveSubmitStreamCancel) {
   const json::Value* transport = stats.Find("transport");
   ASSERT_NE(transport, nullptr);
   EXPECT_EQ(transport->GetInt("workers"), 4);
-  EXPECT_EQ(transport->GetInt("dispatch_shards"), 4);
   EXPECT_EQ(transport->GetInt("dropped_output_overflow"), 0);
+  // Every job was admitted exactly once and no lane left one behind.
+  const json::Value* admission = stats.Find("admission");
+  ASSERT_NE(admission, nullptr);
+  EXPECT_EQ(admission->GetInt("admitted"), kThreads * kConnsPerThread);
+  EXPECT_EQ(admission->GetInt("queue_depth"), 0);
 
   server.RequestShutdown();
   server.Wait();

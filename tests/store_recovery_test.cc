@@ -260,7 +260,7 @@ TEST(StoreRecoveryTest, InterruptedSessionRestoresCancelledAndResumable) {
     SessionManager manager;
     manager.AttachStore(store->get());
     // Registered (create journaled + synced) but the process "dies" before
-    // the dispatcher ever runs the job.
+    // a lane ever runs the job.
     ST_CHECK_OK(manager.Register(ColdJob("i")).status());
   }
 
