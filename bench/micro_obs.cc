@@ -10,15 +10,21 @@
 // with metrics enabled and disabled in alternating pairs — the flight
 // recorder stays ON in both waves, as in production ("always-on") — and
 // the median enabled/disabled ratio must stay under the 3% budget
-// documented in docs/OBSERVABILITY.md.
+// documented in docs/OBSERVABILITY.md. A control wave per pair, enabled
+// as well, measures the gate's own noise floor (an A/A ratio).
 //
 // Writes BENCH_obs.json (gated against bench/baselines/ by
 // scripts/check_bench.py: the wall-second keys and the booleans).
 //
-// Usage: bench_micro_obs [--pairs=5] [--jobs=4] [--rows=60] [--threads=0]
+// Usage: bench_micro_obs [--pairs=51] [--jobs=128] [--rows=60] [--threads=0]
+//
+// Sizing: on a shared 4-core host a pair's ratio spreads by ~3% (one
+// standard deviation) at 85 ms and 177 ms waves alike, so past that size
+// the gate's precision comes from the number of pairs. 128 jobs (~85 ms a
+// wave) and 51 pairs kept the A/A floor at 0.03-0.49% over six runs of
+// ~14 s each.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -158,7 +164,8 @@ serve::Request SubmitRequest(const std::string& session, uint64_t seed,
 }
 
 /// One full serve wave: fresh server, `jobs` tuning jobs over real TCP,
-/// polled to completion. Returns wall seconds (negative on any failure).
+/// each awaited on its stream's done frame (no poll-interval quantization
+/// in the wall time). Returns wall seconds (negative on any failure).
 double ServeWave(int jobs, long long rows, int threads) {
   serve::ServerOptions options;
   options.admission.max_queue_depth = static_cast<size_t>(jobs) + 4;
@@ -178,22 +185,23 @@ double ServeWave(int jobs, long long rows, int threads) {
     ok = serve::IsOkResponse(*response);
   }
   for (int j = 0; j < jobs && ok; ++j) {
-    const std::string session = "obs-" + std::to_string(j);
-    for (;;) {
-      serve::Request poll;
-      poll.type = serve::RequestType::kPoll;
-      poll.session = session;
-      auto response = connection->Call(poll);
-      ST_CHECK_OK(response.status());
-      const std::string state = response->GetString("state");
-      if (state == "done") break;
-      if (state == "failed" || state == "cancelled") {
-        std::fprintf(stderr, "session %s ended %s\n", session.c_str(),
-                     state.c_str());
+    serve::Request stream;
+    stream.type = serve::RequestType::kStream;
+    stream.session = "obs-" + std::to_string(j);
+    auto response = connection->Call(stream);
+    ST_CHECK_OK(response.status());
+    ok = serve::IsOkResponse(*response);
+    while (ok) {
+      auto frame = connection->ReadJson(/*timeout_ms=*/60000);
+      ST_CHECK_OK(frame.status());
+      if (frame->GetString("frame") != "done") continue;
+      const std::string state = frame->GetString("state");
+      if (state != "done") {
+        std::fprintf(stderr, "session %s ended %s\n",
+                     stream.session.c_str(), state.c_str());
         ok = false;
-        break;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      break;
     }
   }
   if (ok) wall = timer.ElapsedSeconds();
@@ -207,8 +215,9 @@ double ServeWave(int jobs, long long rows, int threads) {
 
 int main(int argc, char** argv) {
   using namespace slicetuner;
-  const int pairs = std::max(1, bench::ParseIntFlag(argc, argv, "--pairs=", 5));
-  const int jobs = std::max(1, bench::ParseIntFlag(argc, argv, "--jobs=", 4));
+  const int pairs =
+      std::max(1, bench::ParseIntFlag(argc, argv, "--pairs=", 51));
+  const int jobs = std::max(1, bench::ParseIntFlag(argc, argv, "--jobs=", 128));
   const long long rows = bench::ParseIntFlag(argc, argv, "--rows=", 60);
   const int threads = bench::ParseThreadsFlag(argc, argv, /*default=*/0);
   const unsigned cores = std::thread::hardware_concurrency();
@@ -253,31 +262,43 @@ int main(int argc, char** argv) {
   std::printf("quantiles : p50/p90/p99 within one bucket of exact: %s\n",
               quantiles_accurate ? "yes" : "NO (BUG)");
 
-  // Overhead gate: alternating enabled/disabled serve waves; the median
-  // ratio keeps one noisy wave from deciding the verdict. The flight
-  // recorder records through every wave — the budget is measured with the
-  // always-on subsystem on, exactly as production runs.
+  // Overhead gate: pairs of serve waves, metrics enabled then disabled;
+  // the median enabled/disabled ratio keeps one noisy wave from deciding
+  // the verdict. Each pair first runs a control wave, also enabled: the
+  // median control/enabled ratio is an A/A comparison, the ratio the gate
+  // reads when there is no overhead at all, so its distance from 1 is the
+  // gate's noise floor. The flight recorder records through every wave —
+  // the budget is measured with the always-on subsystem on, exactly as
+  // production runs. One untimed wave first warms the pool and the lazily
+  // registered metrics.
+  if (ServeWave(jobs, rows, threads) < 0.0) return 1;
   std::vector<double> ratios;
+  std::vector<double> aa_ratios;
   std::vector<double> enabled_walls;
   std::vector<double> disabled_walls;
   bool waves_ok = true;
   for (int p = 0; p < pairs && waves_ok; ++p) {
     registry.Reset();
     registry.SetEnabled(true);
+    const double control = ServeWave(jobs, rows, threads);
     const double enabled = ServeWave(jobs, rows, threads);
     registry.SetEnabled(false);
     const double disabled = ServeWave(jobs, rows, threads);
     registry.SetEnabled(true);
-    waves_ok = enabled > 0.0 && disabled > 0.0;
+    waves_ok = control > 0.0 && enabled > 0.0 && disabled > 0.0;
     if (!waves_ok) break;
     enabled_walls.push_back(enabled);
     disabled_walls.push_back(disabled);
     ratios.push_back(enabled / disabled);
-    std::printf("pair %d    : enabled %.3fs, disabled %.3fs, ratio %.4f\n",
-                p + 1, enabled, disabled, enabled / disabled);
+    aa_ratios.push_back(control / enabled);
+    std::printf("pair %d    : enabled %.3fs, disabled %.3fs, ratio %.4f, "
+                "A/A %.4f\n",
+                p + 1, enabled, disabled, enabled / disabled,
+                control / enabled);
   }
 
   double median_ratio = 0.0;
+  double aa_ratio = 0.0;
   double enabled_median = -1.0;
   double disabled_median = -1.0;
   if (waves_ok) {
@@ -286,11 +307,15 @@ int main(int argc, char** argv) {
       return v[v.size() / 2];
     };
     median_ratio = median(ratios);
+    aa_ratio = median(aa_ratios);
     enabled_median = median(enabled_walls);
     disabled_median = median(disabled_walls);
   }
   const double overhead = median_ratio - 1.0;
+  const double noise_floor = std::fabs(aa_ratio - 1.0);
   const bool within_budget = waves_ok && overhead < 0.03;
+  std::printf("noise     : median A/A ratio %.4f (floor %.2f%%)\n", aa_ratio,
+              noise_floor * 100);
   std::printf("overhead  : median ratio %.4f (%.2f%%), budget 3%%: %s\n",
               median_ratio, overhead * 100,
               within_budget ? "within" : "EXCEEDED");
@@ -315,6 +340,8 @@ int main(int argc, char** argv) {
   summary.Set("quantiles_accurate", quantiles_accurate);
   summary.Set("serve_enabled_wall_seconds", enabled_median);
   summary.Set("serve_disabled_wall_seconds", disabled_median);
+  summary.Set("obs_aa_ratio", aa_ratio);
+  summary.Set("obs_noise_floor", noise_floor);
   summary.Set("obs_overhead_ratio", median_ratio);
   summary.Set("obs_overhead_within_budget", within_budget);
   ST_CHECK_OK(bench::WriteBenchJson(json_path, summary));

@@ -1,8 +1,9 @@
 #include "obs/metrics.h"
 
 #include <chrono>
-#include <cstdio>
 #include <utility>
+
+#include "obs/signal_safe.h"
 
 namespace slicetuner {
 namespace obs {
@@ -82,12 +83,11 @@ namespace {
 // Quantile by cumulative scan: the estimate interpolates linearly inside
 // the first bucket whose cumulative count exceeds the rank, so it always
 // lies within the bucket that holds the exact order statistic.
-double QuantileFromMerged(const std::vector<uint64_t>& merged, uint64_t count,
-                          double q) {
+double QuantileFromMerged(const uint64_t* merged, uint64_t count, double q) {
   if (count == 0) return 0.0;
   const double rank = q * static_cast<double>(count - 1);
   uint64_t cum = 0;
-  for (size_t i = 0; i < merged.size(); ++i) {
+  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
     const uint64_t c = merged[i];
     if (c == 0) continue;
     if (static_cast<double>(cum + c) > rank) {
@@ -109,7 +109,8 @@ double QuantileFromMerged(const std::vector<uint64_t>& merged, uint64_t count,
 }  // namespace
 
 HistogramSnapshot Histogram::Snapshot() const {
-  std::vector<uint64_t> merged(kNumBuckets, 0);
+  // On the stack: the crash handler takes snapshots too (DumpTo).
+  uint64_t merged[kNumBuckets] = {};
   HistogramSnapshot snapshot;
   for (size_t s = 0; s < internal_obs::kNumShards; ++s) {
     const Shard& shard = shards_[s];
@@ -188,8 +189,15 @@ MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(
       entry->histogram = std::make_unique<Histogram>();
       break;
   }
+  Entry* published = entry.get();
   entries_.push_back(std::move(entry));
-  return entries_.back().get();
+  if (last_ == nullptr) {
+    first_.store(published, std::memory_order_release);
+  } else {
+    last_->next.store(published, std::memory_order_release);
+  }
+  last_ = published;
+  return published;
 }
 
 Counter* MetricsRegistry::counter(const std::string& name,
@@ -221,36 +229,44 @@ std::string DisplayKey(const std::string& name, const std::string& label_key,
   return name + "{" + label_key + "=\"" + label_value + "\"}";
 }
 
-// One exposition series line; `extra` is an additional label rendered
-// alongside the metric's own (used for the quantile label).
-std::string SeriesLine(const std::string& name, const std::string& label_key,
-                       const std::string& label_value,
-                       const std::string& extra, const std::string& value) {
-  std::string line = name;
-  if (!label_key.empty() || !extra.empty()) {
-    line += "{";
-    if (!label_key.empty()) {
-      line += label_key + "=\"" + label_value + "\"";
-      if (!extra.empty()) line += ",";
+// Longest exposition line: a name cut at 128 characters, a 6-character
+// suffix, a label key and value cut at 64 each, the quantile label, the
+// punctuation and a 28-character value all fit.
+constexpr size_t kMaxNameLen = 128;
+constexpr size_t kMaxLabelLen = 64;
+constexpr size_t kMaxLineLen = 384;
+
+// `name<suffix>{key="value",extra} ` (the braces only when there is a
+// label); `extra` is an additional label such as the quantile.
+size_t AppendSeriesName(char* line, const std::string& name,
+                        const char* suffix, const std::string& label_key,
+                        const std::string& label_value, const char* extra) {
+  using signal_safe::AppendStr;
+  size_t n = AppendStr(line, name.c_str(), kMaxNameLen);
+  n += AppendStr(line + n, suffix);
+  const bool labeled = !label_key.empty();
+  if (labeled || extra[0] != '\0') {
+    line[n++] = '{';
+    if (labeled) {
+      n += AppendStr(line + n, label_key.c_str(), kMaxLabelLen);
+      n += AppendStr(line + n, "=\"");
+      n += AppendStr(line + n, label_value.c_str(), kMaxLabelLen);
+      line[n++] = '"';
+      if (extra[0] != '\0') line[n++] = ',';
     }
-    line += extra;
-    line += "}";
+    n += AppendStr(line + n, extra);
+    line[n++] = '}';
   }
-  line += " " + value + "\n";
-  return line;
+  line[n++] = ' ';
+  return n;
 }
 
-std::string FormatDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
+size_t AppendValue(char* buf, uint64_t value) {
+  return signal_safe::AppendDec(buf, value);
 }
 
-std::string FormatCount(uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(value));
-  return buf;
+size_t AppendValue(char* buf, double value) {
+  return signal_safe::AppendDouble(buf, value);
 }
 
 }  // namespace
@@ -293,36 +309,53 @@ json::Value MetricsRegistry::SnapshotJson(const std::string& prefix) const {
   return out;
 }
 
-std::string MetricsRegistry::TextExposition() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& entry : entries_) {
+template <typename Sink>
+void MetricsRegistry::RenderExposition(Sink&& sink) const {
+  char line[kMaxLineLen];
+  for (const Entry* entry = first_.load(std::memory_order_acquire);
+       entry != nullptr; entry = entry->next.load(std::memory_order_acquire)) {
+    auto emit = [&](const char* suffix, const char* extra, auto value) {
+      size_t n = AppendSeriesName(line, entry->name, suffix, entry->label_key,
+                                  entry->label_value, extra);
+      n += AppendValue(line + n, value);
+      line[n++] = '\n';
+      sink(line, n);
+    };
     switch (entry->kind) {
       case Kind::kCounter:
-        out += SeriesLine(entry->name, entry->label_key, entry->label_value,
-                          "", FormatCount(entry->counter->Value()));
+        emit("", "", entry->counter->Value());
         break;
       case Kind::kGauge:
-        out += SeriesLine(entry->name, entry->label_key, entry->label_value,
-                          "", FormatDouble(entry->gauge->Value()));
+        emit("", "", entry->gauge->Value());
         break;
       case Kind::kHistogram: {
         const HistogramSnapshot s = entry->histogram->Snapshot();
-        out += SeriesLine(entry->name, entry->label_key, entry->label_value,
-                          "quantile=\"0.5\"", FormatDouble(s.p50));
-        out += SeriesLine(entry->name, entry->label_key, entry->label_value,
-                          "quantile=\"0.9\"", FormatDouble(s.p90));
-        out += SeriesLine(entry->name, entry->label_key, entry->label_value,
-                          "quantile=\"0.99\"", FormatDouble(s.p99));
-        out += SeriesLine(entry->name + "_count", entry->label_key,
-                          entry->label_value, "", FormatCount(s.count));
-        out += SeriesLine(entry->name + "_sum", entry->label_key,
-                          entry->label_value, "", FormatDouble(s.sum));
+        emit("", "quantile=\"0.5\"", s.p50);
+        emit("", "quantile=\"0.9\"", s.p90);
+        emit("", "quantile=\"0.99\"", s.p99);
+        emit("_count", "", s.count);
+        emit("_sum", "", s.sum);
         break;
       }
     }
   }
+}
+
+std::string MetricsRegistry::TextExposition() const {
+  std::string out;
+  RenderExposition(
+      [&out](const char* line, size_t len) { out.append(line, len); });
   return out;
+}
+
+size_t MetricsRegistry::DumpTo(int fd) const {
+  size_t written = 0;
+  bool ok = true;
+  RenderExposition([&](const char* line, size_t len) {
+    ok = ok && signal_safe::WriteAll(fd, line, len);
+    if (ok) ++written;
+  });
+  return written;
 }
 
 void MetricsRegistry::Reset() {

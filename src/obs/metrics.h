@@ -7,10 +7,11 @@
 //      enough to leave in production code paths: one relaxed atomic RMW on
 //      a cache-line-padded shard chosen per thread, no locks, no
 //      allocation. bench/micro_obs.cc gates the cost in CI.
-//   2. Reads (SnapshotJson, TextExposition) may be arbitrarily slow; they
-//      merge the shards. A snapshot taken while writers are active is a
-//      consistent-enough point-in-time view: each shard cell is atomic, so
-//      totals are the sum of values that were each individually valid.
+//   2. Reads (SnapshotJson, TextExposition, DumpTo) may be arbitrarily
+//      slow; they merge the shards. A snapshot taken while writers are
+//      active is a consistent-enough point-in-time view: each shard cell is
+//      atomic, so totals are the sum of values that were each individually
+//      valid.
 //   3. Registration is rare and may lock. Metric handles returned by the
 //      registry are stable for the registry's lifetime, so instrumented
 //      code resolves each handle once (function-local static) and then
@@ -212,6 +213,11 @@ class MetricsRegistry {
   /// series. Written by `slicetuner_serve --metrics-dump` on shutdown.
   std::string TextExposition() const;
 
+  /// Writes the same exposition to `fd` with async-signal-safe operations
+  /// only (no lock, no allocation, no stdio) — the crash-handler path.
+  /// Returns the number of lines written.
+  size_t DumpTo(int fd) const;
+
   /// Zeroes every registered metric (registrations survive). For benches
   /// that isolate measurement windows.
   void Reset();
@@ -226,13 +232,24 @@ class MetricsRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
+    // Registration-order list the exposition walks without the lock.
+    std::atomic<Entry*> next{nullptr};
   };
 
   Entry* FindOrCreate(const std::string& name, const std::string& label_key,
                       const std::string& label_value, Kind kind);
 
+  /// Renders the exposition one line at a time into a stack buffer and
+  /// hands each to `sink(const char*, size_t)`; lock- and allocation-free.
+  template <typename Sink>
+  void RenderExposition(Sink&& sink) const;
+
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;
+  // Entries are published to the list (release) once fully built, so a
+  // reader that starts from first_ (acquire) sees complete entries only.
+  std::atomic<Entry*> first_{nullptr};
+  Entry* last_ = nullptr;  // guarded by mu_
 };
 
 /// RAII wall-time recorder: records MonotonicNanos elapsed between

@@ -1,12 +1,11 @@
 #include "obs/recorder.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstring>
 
 #include "common/trace_context.h"
 #include "obs/metrics.h"
+#include "obs/signal_safe.h"
 
 namespace slicetuner {
 namespace obs {
@@ -208,51 +207,10 @@ json::Value Recorder::SnapshotJson(const std::string& session_filter,
   return out;
 }
 
-namespace {
-
-// Async-signal-safe number rendering into a caller buffer. Returns the
-// number of characters appended.
-size_t AppendDec(char* buf, uint64_t value) {
-  char tmp[24];
-  size_t n = 0;
-  do {
-    tmp[n++] = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  for (size_t i = 0; i < n; ++i) buf[i] = tmp[n - 1 - i];
-  return n;
-}
-
-size_t AppendHex16(char* buf, uint64_t value) {
-  static const char kDigits[] = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[15 - i] = kDigits[(value >> (4 * i)) & 0xf];
-  }
-  return 16;
-}
-
-size_t AppendStr(char* buf, const char* s) {
-  size_t n = 0;
-  while (s[n] != '\0') {
-    buf[n] = s[n];
-    ++n;
-  }
-  return n;
-}
-
-bool WriteAll(int fd, const char* buf, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::write(fd, buf + off, len - off);
-    if (n <= 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 size_t Recorder::DumpTo(int fd) const {
+  using signal_safe::AppendDec;
+  using signal_safe::AppendHex16;
+  using signal_safe::AppendStr;
   size_t written = 0;
   const size_t rings = RingCount();
   for (size_t r = 0; r < rings; ++r) {
@@ -292,7 +250,7 @@ size_t Recorder::DumpTo(int fd) const {
         n += AppendDec(line + n, static_cast<uint64_t>(arg));
       }
       line[n++] = '\n';
-      if (!WriteAll(fd, line, n)) return written;
+      if (!signal_safe::WriteAll(fd, line, n)) return written;
       ++written;
     }
   }

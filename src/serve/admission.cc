@@ -22,50 +22,46 @@ AdmissionController::AdmissionController(AdmissionOptions options,
 
 AdmissionController::~AdmissionController() { WaitIdle(); }
 
-Status AdmissionController::Admit(uint64_t session_id) {
-  // Probe outside the lock: the probe may itself take the pool lock.
-  size_t backlog = 0;
-  if (options_.max_executor_backlog > 0 && options_.backlog_probe) {
-    backlog = options_.backlog_probe();
+Status AdmissionController::Reserve() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopped_) {
+    return Status::FailedPrecondition("server is shutting down");
   }
+  const size_t depth = queue_.size() + reserved_;
+  if (depth >= options_.max_queue_depth) {
+    ++stats_.shed_queue_full;
+    ServeMetrics::Get().shed_queue_full->Add();
+    obs::Recorder::Global().RecordHere(obs::EventKind::kShed,
+                                       options_.retry_after_ms);
+    return Status::ResourceExhausted(StrFormat(
+        "admission queue full (%zu/%zu)", depth, options_.max_queue_depth));
+  }
+  ++reserved_;
+  return Status::OK();
+}
+
+void AdmissionController::Commit(uint64_t session_id) {
   bool start_lane = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      return Status::FailedPrecondition("server is shutting down");
-    }
-    const size_t depth = queue_.size();
-    if (depth >= options_.max_queue_depth) {
-      ++stats_.shed_queue_full;
-      ServeMetrics::Get().shed_queue_full->Add();
-      obs::Recorder::Global().RecordHere(obs::EventKind::kShed,
-                                         options_.retry_after_ms);
-      return Status::ResourceExhausted(StrFormat(
-          "admission queue full (%zu/%zu)", depth,
-          options_.max_queue_depth));
-    }
-    if (options_.max_executor_backlog > 0 &&
-        backlog > options_.max_executor_backlog) {
-      ++stats_.shed_backlog;
-      ServeMetrics::Get().shed_backlog->Add();
-      obs::Recorder::Global().RecordHere(obs::EventKind::kShed,
-                                         options_.retry_after_ms);
-      return Status::ResourceExhausted(StrFormat(
-          "executor backlog %zu exceeds %zu", backlog,
-          options_.max_executor_backlog));
-    }
+    --reserved_;
     queue_.push_back(session_id);
+    const size_t depth = queue_.size();
     ++stats_.admitted;
-    stats_.max_depth_seen = std::max(stats_.max_depth_seen, depth + 1);
+    stats_.max_depth_seen = std::max(stats_.max_depth_seen, depth);
     ServeMetrics::Get().admitted->Add();
-    ServeMetrics::Get().queue_depth->Set(static_cast<double>(depth + 1));
+    ServeMetrics::Get().queue_depth->Set(static_cast<double>(depth));
     obs::Recorder::Global().RecordHere(obs::EventKind::kAdmit,
-                                       static_cast<int64_t>(depth + 1));
+                                       static_cast<int64_t>(depth));
     start_lane = runner_ != nullptr && lanes_ < max_lanes_;
     if (start_lane) ++lanes_;
   }
   if (start_lane) DefaultThreadPool().Submit([this] { RunLane(); });
-  return Status::OK();
+}
+
+void AdmissionController::Release() {
+  std::lock_guard<std::mutex> lock(mu_);
+  --reserved_;
 }
 
 void AdmissionController::RunLane() {
@@ -80,34 +76,14 @@ void AdmissionController::RunLane() {
     lock.lock();
   }
   // The empty check and the retirement share one critical section with
-  // Admit's push and lane count check: no id can be pushed in between and
+  // Commit's push and lane count check: no id can be pushed in between and
   // be left without a lane.
   if (--lanes_ == 0) idle_cv_.notify_all();
 }
 
-void AdmissionController::AdmitCancel(uint64_t session_id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cancels_.push_back(session_id);
-    ++stats_.cancels_admitted;
-  }
-  cancel_cv_.notify_one();
-}
-
-std::vector<uint64_t> AdmissionController::NextCancels() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cancel_cv_.wait(lock, [this] { return stopped_ || !cancels_.empty(); });
-  std::vector<uint64_t> batch(cancels_.begin(), cancels_.end());
-  cancels_.clear();
-  return batch;
-}
-
 void AdmissionController::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-  }
-  cancel_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  stopped_ = true;
 }
 
 void AdmissionController::WaitIdle() {

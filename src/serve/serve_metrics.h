@@ -45,13 +45,10 @@ struct ServeMetrics {
   obs::Counter* admitted = registry.counter("serve_admitted_total");
   obs::Counter* shed_queue_full =
       registry.counter("serve_shed_queue_full_total");
-  obs::Counter* shed_backlog = registry.counter("serve_shed_backlog_total");
   obs::Counter* retry_after_sent =
       registry.counter("serve_retry_after_sent_total");
   obs::Counter* shed_restoring =
       registry.counter("serve_shed_restoring_total");
-  obs::Counter* cancels_resolved =
-      registry.counter("serve_cancels_resolved_total");
   obs::Gauge* queue_depth = registry.gauge("serve_queue_depth");
 
   // Sessions / jobs.

@@ -30,7 +30,7 @@ namespace {
 constexpr uint64_t kListenTag = 0;
 
 // Idle tick of a worker with no live streams: nothing to flush on a
-// cadence, and the lane/cancel/shutdown paths Wake() it explicitly.
+// cadence, and the lane and shutdown paths Wake() it explicitly.
 constexpr int kIdlePollMs = 200;
 
 // Events a `trace` request returns when the client names no limit.
@@ -44,16 +44,6 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-// Default executor-saturation signal: the shared pool's queue depth.
-AdmissionOptions WithDefaultProbe(AdmissionOptions admission) {
-  if (!admission.backlog_probe) {
-    admission.backlog_probe = [] {
-      return DefaultThreadPool().PendingCount();
-    };
-  }
-  return admission;
-}
-
 int ResolveWorkerCount(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -64,7 +54,7 @@ int ResolveWorkerCount(int requested) {
 
 TuningServer::TuningServer(ServerOptions options)
     : options_(std::move(options)),
-      admission_(WithDefaultProbe(options_.admission),
+      admission_(options_.admission,
                  [this](uint64_t session_id, size_t lanes) {
                    RunAdmitted(session_id, lanes);
                  },
@@ -177,7 +167,6 @@ Status TuningServer::Start() {
     Worker* w = worker.get();
     w->thread = std::thread([this, w] { WorkerLoop(w); });
   }
-  cancel_thread_ = std::thread([this] { CancelLoop(); });
   return Status::OK();
 }
 
@@ -188,7 +177,6 @@ void TuningServer::Wait() {
   // A lane may still be recording the outcome of a job whose session
   // already turned terminal (which let the workers exit).
   admission_.WaitIdle();
-  if (cancel_thread_.joinable()) cancel_thread_.join();
   // Quiesce maintenance before the closing checkpoint: a checkpoint in
   // flight completes, and no new one starts underneath WriteFinalSnapshot.
   if (maintenance_ != nullptr) maintenance_->Stop();
@@ -217,18 +205,13 @@ json::Value TuningServer::StatsJson() const {
   json::Value admission_json = json::Value::Object();
   admission_json.Set("admitted", admission.admitted);
   admission_json.Set("shed_queue_full", admission.shed_queue_full);
-  admission_json.Set("shed_backlog", admission.shed_backlog);
-  admission_json.Set("shed_total",
-                     admission.shed_queue_full + admission.shed_backlog);
-  admission_json.Set("shed_restoring",
-                     shed_restoring_.load(std::memory_order_relaxed));
+  const size_t shed_restoring = shed_restoring_.load(std::memory_order_relaxed);
+  admission_json.Set("shed_restoring", shed_restoring);
+  admission_json.Set("shed_total", admission.shed_queue_full + shed_restoring);
   admission_json.Set("retry_after_sent",
                      retry_after_sent_.load(std::memory_order_relaxed));
   admission_json.Set("max_depth_seen", admission.max_depth_seen);
   admission_json.Set("queue_depth", admission_.depth());
-  admission_json.Set("cancels_admitted", admission.cancels_admitted);
-  admission_json.Set("cancels_resolved",
-                     cancels_resolved_.load(std::memory_order_relaxed));
   out.Set("admission", std::move(admission_json));
   // Event-loop shape: how requests spread over workers.
   json::Value transport = json::Value::Object();
@@ -296,32 +279,6 @@ void TuningServer::RunAdmitted(uint64_t session_id, size_t lanes) {
   // The job's subscribers have a done frame waiting; don't make them ride
   // out an idle worker's full poll timeout.
   WakeWorkers();
-}
-
-// ---------------------------------------------------------------------------
-// Cancel resolver: pending cancels resolve here, never on a worker thread.
-// ---------------------------------------------------------------------------
-
-void TuningServer::CancelLoop() {
-  for (;;) {
-    // Empty only once admission stopped and the lane is drained.
-    const std::vector<uint64_t> cancels = admission_.NextCancels();
-    if (cancels.empty()) return;
-    for (const uint64_t id : cancels) {
-      TuningSession* session = sessions_.FindById(id);
-      if (session == nullptr) continue;
-      // The cancel flag is already set, so RunJob resolves the session
-      // cancelled in O(1) without running the job. FailedPrecondition
-      // means it was no longer queued (already resolved); skip the
-      // outcome so nothing is double-counted.
-      const Status status = session->RunJob();
-      if (status.code() == StatusCode::kFailedPrecondition) continue;
-      sessions_.RecordOutcome(status);
-      cancels_resolved_.fetch_add(1, std::memory_order_relaxed);
-      ServeMetrics::Get().cancels_resolved->Add();
-    }
-    WakeWorkers();  // flush the resolved sessions' done frames promptly
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -527,71 +484,39 @@ json::Value TuningServer::HandleRequest(Connection* conn,
                                         const Request& request) {
   switch (request.type) {
     case RequestType::kSubmitJob: {
-      if (shutdown_requested_.load(std::memory_order_relaxed)) {
-        return ErrorResponse(
-            Status::FailedPrecondition("server is shutting down"));
-      }
       obs::ScopedTimer admit_timer(ServeMetrics::Get().admit_ns);
-      bool created = false;
-      const Result<TuningSession*> session =
-          sessions_.Register(request.job, &created);
-      if (!session.ok()) {
+      // Admission decides before the registry changes, so a shed submit
+      // (or one refused during shutdown) creates, resumes and journals
+      // nothing.
+      Status status = admission_.Reserve();
+      if (status.ok()) {
+        const Result<TuningSession*> session = sessions_.Register(request.job);
+        if (session.ok()) {
+          // The session inherits the submit's trace id before admission
+          // can hand it to a lane: RunJob always sees the id that armed it.
+          (*session)->SetTraceId(trace::CurrentTraceId());
+          admission_.Commit((*session)->id());
+          json::Value response = OkResponse();
+          response.Set("session", (*session)->name());
+          response.Set("state", SessionPhaseName((*session)->phase()));
+          response.Set("queue_depth", admission_.depth());
+          return response;
+        }
+        admission_.Release();
+        status = session.status();
         // Store-aware admission: Register sheds (ResourceExhausted) while
-        // the restore verb is rebuilding this name; hand the client the
-        // same retry hint as any other transient overload.
-        if (session.status().code() == StatusCode::kResourceExhausted) {
+        // the restore verb is rebuilding this name.
+        if (status.code() == StatusCode::kResourceExhausted) {
           shed_restoring_.fetch_add(1, std::memory_order_relaxed);
-          retry_after_sent_.fetch_add(1, std::memory_order_relaxed);
-          ServeMetrics::Get().retry_after_sent->Add();
-          return ErrorResponse(session.status(), admission_.retry_after_ms());
         }
-        if (session.status().code() == StatusCode::kAlreadyExists) {
-          // A shed resumption parks the session queued-with-cancel-flag
-          // until the cancel thread resolves it; a retried submit landing
-          // in that window is the same transient shed, not a conflict.
-          TuningSession* existing = sessions_.Find(request.job.session);
-          if (existing != nullptr && existing->cancel_requested() &&
-              existing->phase() == SessionPhase::kQueued) {
-            retry_after_sent_.fetch_add(1, std::memory_order_relaxed);
-            ServeMetrics::Get().retry_after_sent->Add();
-            return ErrorResponse(
-                Status::ResourceExhausted("session '" + request.job.session +
-                                          "' cancel resolution in flight"),
-                admission_.retry_after_ms());
-          }
-        }
-        return ErrorResponse(session.status());
       }
-      // The session inherits the submit's trace id before admission can
-      // hand it to a lane: RunJob always sees the id that armed it.
-      (*session)->SetTraceId(trace::CurrentTraceId());
-      const Status admitted = admission_.Admit((*session)->id());
-      if (!admitted.ok()) {
-        if (created) {
-          // Never admitted, so nothing else references it: drop it outright
-          // or shed traffic with fresh names grows the registry forever.
-          sessions_.Drop((*session)->id());
-        } else {
-          // A resumed session pre-existed; flag the cancel and let the
-          // dedicated cancel thread resolve it so a retried submit can
-          // re-arm it. Never RunJob on a worker thread: it would block
-          // every connection this worker owns.
-          (*session)->RequestCancel();
-          admission_.AdmitCancel((*session)->id());
-        }
-        int retry = 0;
-        if (admitted.code() == StatusCode::kResourceExhausted) {
-          retry = admission_.retry_after_ms();
-          ServeMetrics::Get().retry_after_sent->Add();
-          retry_after_sent_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return ErrorResponse(admitted, retry);
+      if (status.code() != StatusCode::kResourceExhausted) {
+        return ErrorResponse(status);
       }
-      json::Value response = OkResponse();
-      response.Set("session", (*session)->name());
-      response.Set("state", SessionPhaseName((*session)->phase()));
-      response.Set("queue_depth", admission_.depth());
-      return response;
+      // Every shed carries the same retry hint.
+      retry_after_sent_.fetch_add(1, std::memory_order_relaxed);
+      ServeMetrics::Get().retry_after_sent->Add();
+      return ErrorResponse(status, admission_.retry_after_ms());
     }
     case RequestType::kPoll: {
       TuningSession* session = sessions_.Find(request.session);

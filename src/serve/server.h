@@ -7,13 +7,12 @@
 // threads (src/serve/event_loop.h, connection.h). Admitted jobs wait in one
 // FIFO (src/serve/admission.h) drained by up to max_concurrent_sessions
 // lanes on the shared thread pool: each lane runs one job at a time and
-// pulls the next admitted one as soon as it finishes. A dedicated
-// cancel-resolver thread resolves pending cancels (shed resumptions,
-// explicit cancels of queued sessions) so no worker ever blocks on a
-// session's RunJob for them, and no cancel waits behind a running job.
-// Progress frames appended by running sessions are flushed to `stream`
-// subscribers on every worker tick, bounded by per-connection output
-// backpressure (connection.h).
+// pulls the next admitted one as soon as it finishes. Admission decides
+// before the session registry changes, so a shed submit changes nothing,
+// and a cancelled queued session resolves, without running, when a lane
+// pops it. Progress frames appended by running sessions are flushed to
+// `stream` subscribers on every worker tick, bounded by per-connection
+// output backpressure (connection.h).
 //
 // Graceful shutdown (shutdown request or RequestShutdown()): the workers
 // stop admitting, jobs in flight run to completion, queued-but-unstarted
@@ -92,7 +91,7 @@ class TuningServer {
   TuningServer(const TuningServer&) = delete;
   TuningServer& operator=(const TuningServer&) = delete;
 
-  /// Binds, listens, and launches the worker and cancel threads.
+  /// Binds, listens, and launches the worker threads.
   Status Start();
 
   /// The bound port (valid after Start).
@@ -135,7 +134,6 @@ class TuningServer {
 
   void WorkerLoop(Worker* worker);
   void RunAdmitted(uint64_t session_id, size_t lanes);
-  void CancelLoop();
   void WakeWorkers();
 
   Status OpenStateDir();
@@ -172,11 +170,9 @@ class TuningServer {
   // Shed rejections that carried a retry_after_ms hint (stats response).
   std::atomic<size_t> retry_after_sent_{0};
   std::atomic<size_t> shed_restoring_{0};
-  std::atomic<size_t> cancels_resolved_{0};
   std::atomic<size_t> connections_dropped_overflow_{0};
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::thread cancel_thread_;
 };
 
 }  // namespace serve

@@ -451,7 +451,10 @@ Status TuningSession::ExecuteJob(const JobSpec& job) {
       // so the job's first round draws fresh examples instead of replaying
       // the exact draws that produced the appended rows (BeginRound
       // re-seeds as a pure function of (seed, round)).
-      ++next_round_index_;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++next_round_index_;
+      }
       ST_RETURN_NOT_OK(tuner_->AppendTrainingData(batch));
       std::lock_guard<std::mutex> lock(mu_);
       rows_ = static_cast<long long>(tuner_->train().size());
@@ -589,8 +592,8 @@ Status TuningSession::RunRounds(const JobSpec& job) {
         if (round.acquired[s] <= 0) continue;
         LogAcquireLocked(round.round, static_cast<int>(s), round.acquired[s]);
       }
+      ++next_round_index_;
     }
-    ++next_round_index_;
   }
 
   // Closing estimate on the final data. Besides giving the client curves
@@ -784,9 +787,7 @@ Result<std::unique_ptr<TuningSession>> TuningSession::Restore(
 // SessionManager
 // ---------------------------------------------------------------------------
 
-Result<TuningSession*> SessionManager::Register(const JobSpec& job,
-                                                bool* created) {
-  if (created != nullptr) *created = false;
+Result<TuningSession*> SessionManager::Register(const JobSpec& job) {
   ST_RETURN_NOT_OK(job.Validate());
   std::lock_guard<std::mutex> lock(mu_);
   if (restoring_names_.count(job.session) != 0) {
@@ -817,7 +818,6 @@ Result<TuningSession*> SessionManager::Register(const JobSpec& job,
   ++stats_.created;
   ServeMetrics::Get().sessions->Set(static_cast<double>(sessions_.size()));
   if (store_ != nullptr) (void)store_->Sync();  // create event durable
-  if (created != nullptr) *created = true;
   return sessions_.back().get();
 }
 
@@ -833,7 +833,7 @@ void SessionManager::Drop(uint64_t id) {
   if (indexed == by_id_.end()) return;
   TuningSession* session = indexed->second;
   --stats_.created;  // the session never became visible to clients
-  // Recovery must not resurrect the never-admitted name.
+  // Recovery must not resurrect the dropped name.
   session->LogDropped();
   if (store_ != nullptr) (void)store_->Sync();
   by_id_.erase(indexed);
@@ -1089,10 +1089,10 @@ Result<RestoreReport> SessionManager::RestoreFromState(
 
   // Roll the journal tail forward. Each session's per-event sequence
   // numbers say which records its snapshot entry already covers. Session
-  // names can be reused across incarnations (a shed submit is dropped,
-  // the retry recreates the name with a fresh id): a create record whose
-  // id differs from the merged entry's starts the name over, so a stale
-  // drop flag or a higher old seq cannot swallow the new session.
+  // names can be reused across incarnations (a dropped session's name is
+  // recreated with a fresh id): a create record whose id differs from the
+  // merged entry's starts the name over, so a stale drop flag or a higher
+  // old seq cannot swallow the new session.
   for (const json::Value& record : state.tail) {
     const std::string name = record.GetString("session");
     if (name.empty()) continue;

@@ -135,8 +135,8 @@ class TuningSession {
   /// Wall seconds of the last completed job.
   double last_job_wall_seconds() const;
 
-  /// Journals the drop event for a session Register created but admission
-  /// rejected (recovery then knows the name never became visible).
+  /// Journals the drop event for a session SessionManager::Drop erases
+  /// (recovery then knows the name never became visible).
   void LogDropped();
 
   /// Durable form of the session for a store snapshot: creation job,
@@ -205,7 +205,9 @@ class TuningSession {
   std::unique_ptr<SliceTuner> tuner_;
   std::unique_ptr<sim::ScriptedSource> source_;
   json::Value resting_;
-  int next_round_index_ = 0;  // monotone across jobs: keeps draws fresh
+  // Monotone across jobs: keeps draws fresh. Written under mu_ as well,
+  // because DurableState reads it while a job runs.
+  int next_round_index_ = 0;
 
   // Acquisitions since the world was built (guarded by mu_).
   std::vector<AcquireRecord> acquire_log_;
@@ -246,7 +248,7 @@ struct RestoreReport {
   /// possible via the runtime `restore` verb; startup recovery runs on an
   /// empty registry).
   size_t sessions_skipped = 0;
-  /// Sessions whose journal history ends in a drop event (never admitted).
+  /// Sessions whose journal history ends in a drop event.
   size_t sessions_dropped = 0;
   /// Slices that came back with a hot curve cache across all sessions.
   size_t warm_slices = 0;
@@ -264,17 +266,16 @@ class SessionManager {
   /// retryable shed) while a concurrent RestoreFromState is rebuilding the
   /// name — store-aware admission: a submit must neither race the rebuild
   /// nor create a duplicate the restore would then skip. The returned
-  /// pointer stays valid for the manager's lifetime — except a freshly
-  /// `created` session the caller immediately hands back to Drop().
-  /// `created` (optional) reports whether the call created the session
-  /// rather than resuming one.
-  Result<TuningSession*> Register(const JobSpec& job,
-                                  bool* created = nullptr);
+  /// pointer stays valid for the manager's lifetime, unless the caller
+  /// hands it to Drop().
+  Result<TuningSession*> Register(const JobSpec& job);
 
-  /// Erases a session that Register just created but that was never
-  /// admitted (so no other thread or connection can reference it). Keeps
-  /// shed submissions with fresh session names from growing the registry
-  /// without bound. No-op for unknown ids.
+  /// Erases a session that Register just created and that nothing else
+  /// references yet, journaling a drop so recovery does not resurrect it.
+  /// The server never drops (admission decides before Register); offline
+  /// registry probes use it to keep the registry at a fixed size, and
+  /// recovery still replays drop records from older journals. No-op for
+  /// unknown ids.
   void Drop(uint64_t id);
 
   /// nullptr when unknown.

@@ -287,6 +287,38 @@ TEST(RegistryTest, TextExpositionFormat) {
       << text;
 }
 
+// The crash handler's DumpTo renders the same bytes TextExposition
+// returns, without the registry lock or an allocation.
+TEST(RegistryTest, DumpToWritesTheTextExposition) {
+  MetricsRegistry registry;
+  registry.counter("events_total")->Add(7);
+  registry.counter("requests_total", "worker", "3")->Add(2);
+  registry.gauge("ratio")->Set(0.25);
+  registry.gauge("negative")->Set(-3.5);
+  registry.gauge("huge")->Set(2.5e20);
+  registry.gauge("rounded")->Set(1.9999999);
+  registry.gauge("infinite")->Set(-HUGE_VAL);
+  registry.histogram("wait_ns")->Record(1000);
+
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  EXPECT_EQ(registry.DumpTo(fileno(file)), 12u);
+  std::rewind(file);
+  char buffer[4096];
+  const size_t read = std::fread(buffer, 1, sizeof(buffer), file);
+  std::fclose(file);
+  const std::string dumped(buffer, read);
+  EXPECT_EQ(dumped, registry.TextExposition());
+  for (const char* expected :
+       {"events_total 7\n", "requests_total{worker=\"3\"} 2\n",
+        "ratio 0.25\n", "negative -3.5\n", "huge 2.5e+20\n",
+        "rounded 2\n", "infinite -Inf\n", "wait_ns_count 1\n",
+        "wait_ns_sum 1000\n"}) {
+    EXPECT_NE(dumped.find(expected), std::string::npos)
+        << expected << " missing from\n" << dumped;
+  }
+}
+
 TEST(RegistryTest, ResetZeroesEverythingButKeepsRegistrations) {
   MetricsRegistry registry;
   Counter* c = registry.counter("c_total");

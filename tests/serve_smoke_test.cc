@@ -568,8 +568,8 @@ TEST(ServeSmokeTest, MaintenanceCrashMidCheckpointRestartsAndRecovers) {
 }
 
 // Crash dumps: a deliberate SIGABRT inside the daemon must leave a
-// parseable flight-recorder dump (and a best-effort metrics exposition)
-// under <state-dir>/crash/ — the post-mortem contract of
+// parseable flight-recorder dump and metrics exposition under
+// <state-dir>/crash/ — the post-mortem contract of
 // docs/OBSERVABILITY.md, exercised with the real signal handler.
 TEST(ServeSmokeTest, CrashDumpSurvivesDeliberateAbort) {
   const std::string state_dir = testing::TempDir() + "/smoke_crash";
@@ -608,10 +608,21 @@ TEST(ServeSmokeTest, CrashDumpSurvivesDeliberateAbort) {
   EXPECT_TRUE(saw_recv);
   EXPECT_TRUE(saw_done);
 
-  // The metrics exposition is best-effort but present on this controlled
-  // abort.
+  // The metrics exposition is written from the handler too: `name value`
+  // lines, one per series of the registry the started server filled.
   std::ifstream metrics_dump(state_dir + "/crash/metrics.txt");
-  EXPECT_TRUE(metrics_dump.is_open()) << "missing crash metrics dump";
+  ASSERT_TRUE(metrics_dump.is_open()) << "missing crash metrics dump";
+  size_t series = 0;
+  while (std::getline(metrics_dump, line)) {
+    std::istringstream fields(line);
+    std::string name;
+    double value = -1.0;
+    std::string rest;
+    EXPECT_TRUE(fields >> name >> value) << line;
+    EXPECT_FALSE(fields >> rest) << line;
+    ++series;
+  }
+  EXPECT_GE(series, 1u);
 }
 
 }  // namespace

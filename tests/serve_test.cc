@@ -1,7 +1,7 @@
 // Tests for the tuning service: protocol encoding/decoding, admission
-// control (shedding, FIFO lanes, executor-backlog probe), session
-// lifecycle with the incremental partial-refit resume path, and an
-// in-process end-to-end pass over the real TCP server.
+// control (reservations, shedding, FIFO lanes), session lifecycle with the
+// incremental partial-refit resume path, and an in-process end-to-end pass
+// over the real TCP server.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fs_util.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/client.h"
@@ -30,6 +31,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session_manager.h"
+#include "store/store.h"
 
 namespace slicetuner {
 namespace serve {
@@ -130,34 +132,35 @@ TEST(ProtocolTest, ErrorResponseCarriesRetryAfter) {
 // Admission control
 // ---------------------------------------------------------------------------
 
-TEST(AdmissionTest, ShedsWhenQueueFull) {
+// What the server does for an admitted submit: reserve, then commit the
+// registered session's id.
+Status Admit(AdmissionController* admission, uint64_t session_id) {
+  ST_RETURN_NOT_OK(admission->Reserve());
+  admission->Commit(session_id);
+  return Status::OK();
+}
+
+TEST(AdmissionTest, ShedsWhenQueueAndReservationsFillTheDepth) {
   AdmissionOptions options;
   options.max_queue_depth = 2;
   options.retry_after_ms = 30;
   AdmissionController admission(options);
-  EXPECT_TRUE(admission.Admit(1).ok());
-  EXPECT_TRUE(admission.Admit(2).ok());
-  const Status shed = admission.Admit(3);
+  EXPECT_TRUE(Admit(&admission, 1).ok());
+  // An open reservation holds its slot: the queue is full with one id.
+  ASSERT_TRUE(admission.Reserve().ok());
+  const Status shed = admission.Reserve();
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(admission.retry_after_ms(), 30);
+  EXPECT_EQ(admission.depth(), 1u);
+  // A released reservation frees its slot and queues nothing.
+  admission.Release();
+  EXPECT_EQ(admission.depth(), 1u);
+  EXPECT_TRUE(Admit(&admission, 2).ok());
+  EXPECT_EQ(Admit(&admission, 3).code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(admission.depth(), 2u);
   EXPECT_EQ(admission.stats().admitted, 2u);
-  EXPECT_EQ(admission.stats().shed_queue_full, 1u);
-}
-
-TEST(AdmissionTest, BacklogProbeShedsOnExecutorSaturation) {
-  std::atomic<size_t> backlog{0};
-  AdmissionOptions options;
-  options.max_executor_backlog = 4;
-  options.backlog_probe = [&backlog] { return backlog.load(); };
-  AdmissionController admission(options);
-  EXPECT_TRUE(admission.Admit(1).ok());
-  backlog = 10;
-  const Status shed = admission.Admit(2);
-  EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(admission.stats().shed_backlog, 1u);
-  backlog = 0;
-  EXPECT_TRUE(admission.Admit(3).ok());
+  EXPECT_EQ(admission.stats().shed_queue_full, 2u);
+  EXPECT_EQ(admission.stats().max_depth_seen, 2u);
 }
 
 TEST(AdmissionTest, OneLaneRunsFifoAndDrainsAfterStop) {
@@ -178,20 +181,24 @@ TEST(AdmissionTest, OneLaneRunsFifoAndDrainsAfterStop) {
         cv.wait(lock, [&] { return release; });
       },
       /*max_lanes=*/1);
-  ASSERT_TRUE(admission.Admit(1).ok());
+  ASSERT_TRUE(Admit(&admission, 1).ok());
   {
     // Hold the only lane inside job 1 while 2..5 queue behind it.
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return first_running; });
   }
-  for (uint64_t id = 2; id <= 5; ++id) {
-    ASSERT_TRUE(admission.Admit(id).ok());
+  for (uint64_t id = 2; id <= 4; ++id) {
+    ASSERT_TRUE(Admit(&admission, id).ok());
   }
-  EXPECT_EQ(admission.depth(), 4u);
-  EXPECT_EQ(admission.stats().max_depth_seen, 4u);
+  // A reservation taken before Stop still commits after it: its session is
+  // registered, so a lane must resolve it.
+  ASSERT_TRUE(admission.Reserve().ok());
   // Stop refuses new work, but what was admitted still runs.
   admission.Stop();
-  EXPECT_EQ(admission.Admit(6).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(admission.Reserve().code(), StatusCode::kFailedPrecondition);
+  admission.Commit(5);
+  EXPECT_EQ(admission.depth(), 4u);
+  EXPECT_EQ(admission.stats().max_depth_seen, 4u);
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;
@@ -955,33 +962,24 @@ TEST(EventLoopTest, EdgeTriggeredReadEventsAndCrossThreadWake) {
 }
 
 // ---------------------------------------------------------------------------
-// Regression: shed resumptions resolve off the worker thread (ISSUE 7)
+// A shed submit changes nothing: admission decides before the registry
 // ---------------------------------------------------------------------------
 
-TEST(TuningServerTest, ShedResumedSessionResolvesOnCancelThread) {
-  ServerOptions options;
-  options.max_concurrent_sessions = 1;
-  options.admission.max_queue_depth = 1;
-  options.admission.retry_after_ms = 30;
-  TuningServer server(options);
-  ASSERT_TRUE(server.Start().ok());
-  auto connection = ClientConnection::Connect(server.port());
-  ASSERT_TRUE(connection.ok());
-
-  // Run "r" to completion so the next submit for it is a resume.
+// One lane and a depth-1 queue: runs "r" to done, then occupies the lane
+// with a long job and the queue with a short one, so the next submit sheds.
+void RunDoneThenSaturate(TuningServer* server, ClientConnection* connection) {
   auto first = connection->Call(SubmitRequest(SmallJob("r", 1)));
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(IsOkResponse(*first)) << first->Dump();
-  TuningSession* r = server.sessions().Find("r");
+  TuningSession* r = server->sessions().Find("r");
   ASSERT_NE(r, nullptr);
   ASSERT_TRUE(r->WaitTerminal(/*timeout_ms=*/60000));
   ASSERT_EQ(r->phase(), SessionPhase::kDone);
 
-  // Occupy the only lane, then the depth-1 queue.
-  auto blocker = connection->Call(SubmitRequest(SmallJob("blocker", 500)));
+  auto blocker = connection->Call(SubmitRequest(SmallJob("blocker", 1000)));
   ASSERT_TRUE(blocker.ok());
   ASSERT_TRUE(IsOkResponse(*blocker)) << blocker->Dump();
-  TuningSession* blk = server.sessions().Find("blocker");
+  TuningSession* blk = server->sessions().Find("blocker");
   ASSERT_NE(blk, nullptr);
   for (int i = 0; i < 60000 && blk->phase() != SessionPhase::kRunning; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -990,39 +988,45 @@ TEST(TuningServerTest, ShedResumedSessionResolvesOnCancelThread) {
   auto filler = connection->Call(SubmitRequest(SmallJob("filler", 1)));
   ASSERT_TRUE(filler.ok());
   ASSERT_TRUE(IsOkResponse(*filler)) << filler->Dump();
+}
 
-  // The resumption of "r" is shed (queue full). The regression this pins:
-  // resolving the shed resumption must never run the session's job on the
-  // serving thread — the connection gets the retry hint immediately and
-  // the session turns cancelled via the dedicated cancel-resolver thread.
+ServerOptions OneLaneDepthOne() {
+  ServerOptions options;
+  options.max_concurrent_sessions = 1;
+  options.admission.max_queue_depth = 1;
+  options.admission.retry_after_ms = 30;
+  return options;
+}
+
+TEST(TuningServerTest, ShedResubmitLeavesDoneSessionUntouched) {
+  TuningServer server(OneLaneDepthOne());
+  ASSERT_TRUE(server.Start().ok());
+  auto connection = ClientConnection::Connect(server.port());
+  ASSERT_TRUE(connection.ok());
+  RunDoneThenSaturate(&server, &*connection);
+  if (HasFatalFailure()) return;
+  auto before = connection->Call(SessionRequest(RequestType::kPoll, "r"));
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->Has("curves")) << before->Dump();
+
+  // The resubmission of "r" is shed with the retry hint, and the session
+  // stays exactly as its last job left it: not re-armed, not cancelled.
   auto shed = connection->Call(SubmitRequest(SmallJob("r", 1)));
   ASSERT_TRUE(shed.ok());
   EXPECT_FALSE(IsOkResponse(*shed));
   EXPECT_EQ(shed->GetString("code"), "ResourceExhausted") << shed->Dump();
   EXPECT_EQ(shed->GetInt("retry_after_ms"), 30);
-  EXPECT_TRUE(r->WaitTerminal(/*timeout_ms=*/10000))
-      << "shed resumption never resolved";
-  EXPECT_EQ(r->phase(), SessionPhase::kCancelled);
-  EXPECT_GE(server.admission().stats().cancels_admitted, 1u);
-  // The resolver thread counts the cancel just after the session turns
-  // terminal, so the count may trail WaitTerminal by a moment.
-  long long cancels_resolved = 0;
-  for (int i = 0; i < 10000 && cancels_resolved < 1; ++i) {
-    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const json::Value stats = server.StatsJson();
-    const json::Value* admission = stats.Find("admission");
-    ASSERT_NE(admission, nullptr);
-    cancels_resolved = admission->GetInt("cancels_resolved");
-  }
-  EXPECT_GE(cancels_resolved, 1);
+  TuningSession* r = server.sessions().Find("r");
+  EXPECT_EQ(r->phase(), SessionPhase::kDone);
+  auto after = connection->Call(SessionRequest(RequestType::kPoll, "r"));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->GetString("state"), "done") << after->Dump();
+  EXPECT_EQ(after->GetInt("jobs_run"), before->GetInt("jobs_run"));
+  EXPECT_EQ(after->Find("curves")->Dump(), before->Find("curves")->Dump());
+  EXPECT_FALSE(after->Has("error")) << after->Dump();
 
-  // The worker that took the shed submit stayed responsive throughout.
-  auto poll_r = connection->Call(SessionRequest(RequestType::kPoll, "r"));
-  ASSERT_TRUE(poll_r.ok());
-  EXPECT_EQ(poll_r->GetString("state"), "cancelled") << poll_r->Dump();
-
-  // Once the lane clears, the resumption is admitted and runs to done.
-  ASSERT_TRUE(server.sessions().Cancel("blocker").ok());
+  // Once the lane clears, the resubmission is admitted and runs to done.
+  (void)server.sessions().Cancel("blocker");  // it may have finished
   bool resubmitted = false;
   for (int attempt = 0; attempt < 2000; ++attempt) {
     auto retry = connection->Call(SubmitRequest(SmallJob("r", 1)));
@@ -1039,6 +1043,54 @@ TEST(TuningServerTest, ShedResumedSessionResolvesOnCancelThread) {
   ASSERT_TRUE(r->WaitTerminal(/*timeout_ms=*/60000));
   EXPECT_EQ(r->phase(), SessionPhase::kDone);
 
+  server.RequestShutdown();
+  server.Wait();
+}
+
+TEST(TuningServerTest, ShedSubmitsAppendNoJournalRecord) {
+  const std::string state_dir = testing::TempDir() + "/serve_shed_journal";
+  const Result<std::vector<std::string>> stale = ListDirFiles(state_dir);
+  if (stale.ok()) {
+    for (const std::string& file : *stale) {
+      (void)RemoveFile(state_dir + "/" + file);
+    }
+  }
+  ServerOptions options = OneLaneDepthOne();
+  options.state_dir = state_dir;
+  TuningServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  auto connection = ClientConnection::Connect(server.port());
+  ASSERT_TRUE(connection.ok());
+  RunDoneThenSaturate(&server, &*connection);
+  if (HasFatalFailure()) return;
+
+  // A shed resume of "r" and a shed create of "fresh".
+  for (const char* name : {"r", "fresh"}) {
+    auto shed = connection->Call(SubmitRequest(SmallJob(name, 1)));
+    ASSERT_TRUE(shed.ok());
+    EXPECT_EQ(shed->GetString("code"), "ResourceExhausted") << shed->Dump();
+  }
+  EXPECT_EQ(server.sessions().Find("fresh"), nullptr);
+
+  // Start() compacted the directory, so the journal tail holds this run's
+  // records only: the admitted jobs', and none from the two sheds.
+  ASSERT_TRUE(server.durable_store()->Sync().ok());
+  const Result<store::RecoveredState> state = store::ReadStateDir(state_dir);
+  ASSERT_TRUE(state.ok()) << state.status();
+  size_t r_records = 0;
+  for (const json::Value& record : state->tail) {
+    const std::string session = record.GetString("session");
+    const std::string event = record.GetString("event");
+    EXPECT_NE(session, "fresh") << record.Dump();
+    if (session == "r") {
+      ++r_records;
+      EXPECT_NE(event, "resume") << record.Dump();
+      EXPECT_NE(event, "drop") << record.Dump();
+    }
+  }
+  EXPECT_GT(r_records, 0u);  // the tail does hold the run's own records
+
+  (void)server.sessions().Cancel("blocker");  // it may have finished
   server.RequestShutdown();
   server.Wait();
 }

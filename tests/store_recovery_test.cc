@@ -627,11 +627,10 @@ TEST(StoreRecoveryTest, ManySessionsRestoreDeterministically) {
   // The id allocator continues where the pre-restart manager stopped, and
   // the failed name is free for a fresh create.
   EXPECT_EQ(snapshot.GetInt("next_id"), next_id_before);
-  bool created = false;
-  const Result<TuningSession*> fresh =
-      recovered.Register(LightJob("bad"), &created);
+  const size_t created_before = recovered.stats().created;
+  const Result<TuningSession*> fresh = recovered.Register(LightJob("bad"));
   ST_CHECK_OK(fresh.status());
-  EXPECT_TRUE(created);
+  EXPECT_EQ(recovered.stats().created, created_before + 1);
   EXPECT_EQ((*fresh)->id(), static_cast<uint64_t>(next_id_before));
 }
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //   slicetuner_serve [--port=0] [--threads=N] [--max-queue=16]
-//                    [--retry-after-ms=50] [--max-backlog=0] [--workers=0]
+//                    [--retry-after-ms=50] [--workers=0]
 //                    [--max-connections=64]
 //                    [--state-dir=DIR] [--metrics-dump=PATH]
 //                    [--snapshot-every-jobs=0] [--snapshot-every-bytes=0]
@@ -38,11 +38,11 @@
 //
 // With --state-dir, a crash handler is installed for SIGSEGV / SIGBUS /
 // SIGABRT that writes the flight recorder's last events to
-// <state-dir>/crash/recorder.txt (async-signal-safe: write(2) only) and a
-// best-effort metrics exposition to <state-dir>/crash/metrics.txt, then
-// re-raises the signal so the exit status still reports the crash.
-// --crash-test=abort is the hidden hook the smoke test uses to exercise
-// that path deliberately.
+// <state-dir>/crash/recorder.txt and the metrics exposition to
+// <state-dir>/crash/metrics.txt (both async-signal-safe: no lock, no
+// allocation, write(2) only), then re-raises the signal so the exit status
+// still reports the crash. --crash-test=abort is the hidden hook the smoke
+// test uses to exercise that path deliberately, once the server started.
 //
 // Honors SLICETUNER_LOG_LEVEL (debug|info|warning|error|none) and
 // SLICETUNER_LOG_JSON=1 for structured logs (src/common/logging.h).
@@ -87,16 +87,11 @@ void CrashHandler(int signo) {
     }
   }
   if (g_crash_metrics_path[0] != '\0') {
-    // TextExposition allocates and takes the registry mutex — not
-    // signal-safe, so this is best effort and runs last: if it hangs or
-    // faults, the recorder dump above is already on disk.
     const int fd = open(g_crash_metrics_path,
                         O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
-      const std::string text =
-          slicetuner::obs::MetricsRegistry::Global().TextExposition();
-      const ssize_t ignored = write(fd, text.data(), text.size());
-      (void)ignored;
+      // Signal-safe too: walks the registry without its lock.
+      slicetuner::obs::MetricsRegistry::Global().DumpTo(fd);
       close(fd);
     }
   }
@@ -132,8 +127,6 @@ int main(int argc, char** argv) {
       bench::ParseIntFlag(argc, argv, "--max-queue=", 16));
   options.admission.retry_after_ms =
       bench::ParseIntFlag(argc, argv, "--retry-after-ms=", 50);
-  options.admission.max_executor_backlog = static_cast<size_t>(
-      bench::ParseIntFlag(argc, argv, "--max-backlog=", 0));
   options.num_workers = bench::ParseIntFlag(argc, argv, "--workers=", 0);
   options.max_connections =
       bench::ParseIntFlag(argc, argv, "--max-connections=", 64);
@@ -161,10 +154,13 @@ int main(int argc, char** argv) {
     InstallCrashHandler(crash_dir);
   }
 
+  serve::TuningServer server(options);
+  ST_CHECK_OK(server.Start());
   if (crash_test == "abort") {
-    // Deliberate crash for the smoke test: drop a recognizable event into
-    // the flight recorder under a fresh trace id, then abort through the
-    // handler so the dump demonstrably round-trips.
+    // Deliberate crash for the smoke test, taken with the server's metrics
+    // registered: drop a recognizable event into the flight recorder under
+    // a fresh trace id, then abort through the handler so both dumps
+    // demonstrably round-trip.
     trace::TraceScope scope(trace::MintTraceId(), "crash-test");
     obs::Recorder::Global().RecordHere(obs::EventKind::kRequestRecv, 0);
     obs::Recorder::Global().RecordHere(obs::EventKind::kRequestDone, 0);
@@ -172,9 +168,6 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     std::abort();
   }
-
-  serve::TuningServer server(options);
-  ST_CHECK_OK(server.Start());
   std::printf("slicetuner_serve listening on 127.0.0.1:%d\n", server.port());
   std::printf("queue depth %zu, retry-after %d ms\n",
               options.admission.max_queue_depth,

@@ -120,7 +120,7 @@ void PrintDashboard(const Value& snapshot, const CounterMap& now,
   const long long requests = DeltaOf(now, prev, "serve_requests_total");
   const long long admitted = DeltaOf(now, prev, "serve_admitted_total");
   const long long shed = DeltaOf(now, prev, "serve_shed_queue_full_total") +
-                         DeltaOf(now, prev, "serve_shed_backlog_total");
+                         DeltaOf(now, prev, "serve_shed_restoring_total");
   const long long jobs = DeltaOf(now, prev, "serve_jobs_done_total");
   const long long syncs = DeltaOf(now, prev, "store_fsync_ns#count");
 
@@ -157,7 +157,7 @@ void PrintOnce(const Value& snapshot, const CounterMap& now) {
   out.Set("requests_total", DeltaOf(now, zero, "serve_requests_total"));
   out.Set("admitted_total", DeltaOf(now, zero, "serve_admitted_total"));
   out.Set("shed_total", DeltaOf(now, zero, "serve_shed_queue_full_total") +
-                            DeltaOf(now, zero, "serve_shed_backlog_total"));
+                            DeltaOf(now, zero, "serve_shed_restoring_total"));
   out.Set("jobs_done_total", DeltaOf(now, zero, "serve_jobs_done_total"));
   out.Set("queue_depth", GaugeOf(snapshot, "serve_queue_depth"));
   out.Set("sessions", GaugeOf(snapshot, "serve_sessions"));
