@@ -85,6 +85,9 @@ class Recorder {
   static constexpr size_t kMaxSessionLen = 23;
 
   Recorder() = default;
+  /// Frees the rings handed out so far: a recorder must outlive every
+  /// thread that records into it. Global() is never destroyed.
+  ~Recorder();
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 

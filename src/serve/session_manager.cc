@@ -64,68 +64,61 @@ Result<BaselineKind> BaselineFromMethod(const std::string& method) {
 
 }  // namespace
 
-const char* SessionPhaseName(SessionPhase phase) {
-  switch (phase) {
-    case SessionPhase::kQueued:
-      return "queued";
-    case SessionPhase::kRunning:
-      return "running";
-    case SessionPhase::kDone:
-      return "done";
-    case SessionPhase::kCancelled:
-      return "cancelled";
-    case SessionPhase::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 TuningSession::TuningSession(uint64_t id, JobSpec job,
                              store::DurableStore* store)
-    : id_(id),
-      name_(job.session),
-      store_(store),
-      creation_job_(job),
-      pending_job_(std::move(job)) {
+    : store_(store), pending_job_(job) {
+  durable_.name = job.session;
+  durable_.id = id;
+  durable_.job = std::move(job);
   enqueued_ns_.store(obs::MonotonicNanos(), std::memory_order_relaxed);
   // No other thread can see the session yet, but LogEventLocked documents
   // a mu_ requirement, so honor it.
   std::lock_guard<std::mutex> lock(mu_);
-  json::Value event = json::Value::Object();
-  event.Set("event", "create");
-  event.Set("job", creation_job_.ToJson());
-  LogEventLocked(std::move(event));
+  LogEventLocked(CreateEvent(durable_));
 }
 
-void TuningSession::LogEventLocked(json::Value event) {
+TuningSession::TuningSession(const SessionRecord& record)
+    : pending_job_(record.job), durable_(record) {
+  // Borrowed from the recovered document, which is freed after recovery;
+  // Restore installs it into the tuner instead.
+  durable_.resting = nullptr;
+}
+
+void TuningSession::LogEventLocked(const json::Value& record) {
   if (store_ == nullptr) return;
-  event.Set("session", name_);
-  event.Set("id", static_cast<long long>(id_));
-  event.Set("seq", static_cast<long long>(events_logged_++));
-  const Status appended = store_->Append(event);
+  ++durable_.seq;
+  const Status appended = store_->Append(record);
   if (!appended.ok()) {
     // Serving keeps going on a sick disk; durability degrades, correctness
     // of the live session does not.
-    ST_LOG(Warning) << "journal append failed for session '" << name_
+    ST_LOG(Warning) << "journal append failed for session '" << name()
                     << "': " << appended.ToString();
   }
 }
 
 void TuningSession::LogAcquireLocked(int round, int slice, long long count) {
-  acquire_log_.push_back({round, slice, count});
-  json::Value event = json::Value::Object();
-  event.Set("event", "acquire");
-  event.Set("round", round);
-  event.Set("slice", slice);
-  event.Set("n", count);
-  LogEventLocked(std::move(event));
+  durable_.acquires.push_back({round, slice, count});
+  LogEventLocked(AcquireEvent(durable_, durable_.acquires.back()));
+}
+
+void TuningSession::LogFinishLocked() {
+  durable_.trace_id = trace_id_.load(std::memory_order_relaxed);
+  LogEventLocked(FinishEvent(durable_));
+  phase_cv_.notify_all();
+}
+
+void TuningSession::SyncJournal() {
+  if (store_ == nullptr) return;
+  const Status synced = store_->Sync();
+  if (!synced.ok()) {
+    ST_LOG(Warning) << "journal sync failed for session '" << name()
+                    << "': " << synced.ToString();
+  }
 }
 
 void TuningSession::LogDropped() {
   std::lock_guard<std::mutex> lock(mu_);
-  json::Value event = json::Value::Object();
-  event.Set("event", "drop");
-  LogEventLocked(std::move(event));
+  LogEventLocked(DropEvent(durable_));
 }
 
 void TuningSession::RequestCancel() {
@@ -134,23 +127,15 @@ void TuningSession::RequestCancel() {
 
 SessionPhase TuningSession::phase() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return phase_;
+  return durable_.phase;
 }
 
-bool TuningSession::Terminal() const {
-  const SessionPhase p = phase();
-  return p == SessionPhase::kDone || p == SessionPhase::kCancelled ||
-         p == SessionPhase::kFailed;
-}
+bool TuningSession::Terminal() const { return IsTerminal(phase()); }
 
 bool TuningSession::WaitTerminal(int timeout_ms) const {
   std::unique_lock<std::mutex> lock(mu_);
   return phase_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                            [this] {
-                              return phase_ == SessionPhase::kDone ||
-                                     phase_ == SessionPhase::kCancelled ||
-                                     phase_ == SessionPhase::kFailed;
-                            });
+                            [this] { return IsTerminal(durable_.phase); });
 }
 
 size_t TuningSession::FrameCount() const {
@@ -166,17 +151,17 @@ json::Value TuningSession::FrameAt(size_t index) const {
 
 Status TuningSession::last_status() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return last_status_;
+  return durable_.status;
 }
 
 long long TuningSession::last_job_trainings() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return last_job_trainings_;
+  return durable_.counters.last_job_trainings;
 }
 
 double TuningSession::last_job_wall_seconds() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return last_job_wall_seconds_;
+  return durable_.counters.last_job_wall_seconds;
 }
 
 json::Value TuningSession::TraceTree() const {
@@ -186,27 +171,28 @@ json::Value TuningSession::TraceTree() const {
 
 json::Value TuningSession::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
+  const SessionCounters& counters = durable_.counters;
   json::Value out = json::Value::Object();
-  out.Set("session", name_);
-  out.Set("state", SessionPhaseName(phase_));
+  out.Set("session", name());
+  out.Set("state", SessionPhaseName(durable_.phase));
   const uint64_t trace_id = trace_id_.load(std::memory_order_relaxed);
   if (trace_id != 0) {
     out.Set("trace_id", trace::FormatTraceId(trace_id));
   }
-  out.Set("jobs_run", jobs_run_);
-  out.Set("rounds_completed", rounds_completed_);
+  out.Set("jobs_run", counters.jobs_run);
+  out.Set("rounds_completed", counters.rounds_completed);
   out.Set("frames", frames_.size());
-  out.Set("rows", rows_);
-  out.Set("model_trainings", total_trainings_);
-  out.Set("last_job_trainings", last_job_trainings_);
-  out.Set("last_job_wall_seconds", last_job_wall_seconds_);
-  if (!last_status_.ok()) out.Set("error", last_status_.ToString());
-  if (!final_curve_b_.empty()) {
+  out.Set("rows", counters.rows);
+  out.Set("model_trainings", counters.total_trainings);
+  out.Set("last_job_trainings", counters.last_job_trainings);
+  out.Set("last_job_wall_seconds", counters.last_job_wall_seconds);
+  if (!durable_.status.ok()) out.Set("error", durable_.status.ToString());
+  if (!durable_.curve_b.empty()) {
     json::Value curves = json::Value::Object();
     json::Value b = json::Value::Array();
     json::Value a = json::Value::Array();
-    for (const double v : final_curve_b_) b.Append(v);
-    for (const double v : final_curve_a_) a.Append(v);
+    for (const double v : durable_.curve_b) b.Append(v);
+    for (const double v : durable_.curve_a) a.Append(v);
     curves.Set("b", std::move(b));
     curves.Set("a", std::move(a));
     out.Set("curves", std::move(curves));
@@ -225,16 +211,11 @@ json::Value TuningSession::Snapshot() const {
   return out;
 }
 
-void TuningSession::AppendFrame(json::Value frame) {
-  std::lock_guard<std::mutex> lock(mu_);
-  frames_.push_back(std::move(frame));
-}
-
 Status TuningSession::Resume(JobSpec job) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (phase_ == SessionPhase::kQueued || phase_ == SessionPhase::kRunning) {
-    return Status::AlreadyExists("session '" + name_ + "' is busy (" +
-                                 SessionPhaseName(phase_) + ")");
+  if (!IsTerminal(durable_.phase)) {
+    return Status::AlreadyExists("session '" + name() + "' is busy (" +
+                                 SessionPhaseName(durable_.phase) + ")");
   }
   // An omitted slice count inherits the session's; an explicit one must
   // match (the data world is fixed at creation).
@@ -245,7 +226,7 @@ Status TuningSession::Resume(JobSpec job) {
   } else if (job.num_slices != existing) {
     return Status::InvalidArgument(StrFormat(
         "session '%s' holds %d slices; resubmission asks for %d",
-        name_.c_str(), existing, job.num_slices));
+        name().c_str(), existing, job.num_slices));
   }
   if (job.append_slice >= job.num_slices) {
     return Status::OutOfRange(
@@ -255,39 +236,42 @@ Status TuningSession::Resume(JobSpec job) {
   pending_job_ = std::move(job);
   cancel_requested_.store(false, std::memory_order_relaxed);
   enqueued_ns_.store(obs::MonotonicNanos(), std::memory_order_relaxed);
-  phase_ = SessionPhase::kQueued;
-  json::Value event = json::Value::Object();
-  event.Set("event", "resume");
-  event.Set("job", pending_job_.ToJson());
-  LogEventLocked(std::move(event));
+  durable_.phase = SessionPhase::kQueued;
+  LogEventLocked(ResumeEvent(durable_, pending_job_));
   return Status::OK();
 }
 
 Status TuningSession::RunJob() {
   JobSpec job;
+  bool cancelled_before_start = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (phase_ != SessionPhase::kQueued) {
+    if (durable_.phase != SessionPhase::kQueued) {
       return Status::FailedPrecondition(
-          "RunJob on session '" + name_ + "' in state " +
-          SessionPhaseName(phase_));
+          "RunJob on session '" + name() + "' in state " +
+          SessionPhaseName(durable_.phase));
     }
     if (cancel_requested_.load(std::memory_order_relaxed)) {
-      phase_ = SessionPhase::kCancelled;
-      last_status_ = Status::Cancelled("cancelled before start");
+      durable_.phase = SessionPhase::kCancelled;
+      durable_.status = Status::Cancelled("cancelled before start");
       ServeMetrics::Get().jobs_cancelled->Add();
-      phase_cv_.notify_all();
-      return last_status_;
+      LogFinishLocked();
+      cancelled_before_start = true;
+    } else {
+      durable_.phase = SessionPhase::kRunning;
+      job = pending_job_;
+      job_round_spans_.clear();
     }
-    phase_ = SessionPhase::kRunning;
-    job = pending_job_;
-    job_round_spans_.clear();
+  }
+  if (cancelled_before_start) {
+    SyncJournal();
+    return Status::Cancelled("cancelled before start");
   }
   // The lane running the job enters the trace the submit started: everything
   // the job touches from here — logs, recorder events, store appends —
   // carries the submit's trace id.
   trace::TraceScope trace_scope(trace_id_.load(std::memory_order_relaxed),
-                                name_);
+                                name());
   const uint64_t queue_wait_ns =
       obs::MonotonicNanos() - enqueued_ns_.load(std::memory_order_relaxed);
   ServeMetrics::Get().queue_wait_ns->Record(queue_wait_ns);
@@ -297,7 +281,7 @@ Status TuningSession::RunJob() {
   Stopwatch timer;
   const long long trainings_before = [this] {
     std::lock_guard<std::mutex> lock(mu_);
-    return total_trainings_;
+    return durable_.counters.total_trainings;
   }();
   const Status status = [&] {
     obs::ScopedTimer run_timer(ServeMetrics::Get().run_ns);
@@ -323,22 +307,23 @@ Status TuningSession::RunJob() {
       tuner_->ReplaceRows(Dataset(), Dataset());
       source_.reset();
     }
-    ++jobs_run_;
-    last_job_wall_seconds_ = wall;
-    last_job_trainings_ = total_trainings_ - trainings_before;
-    last_status_ = status;
+    SessionCounters& counters = durable_.counters;
+    ++counters.jobs_run;
+    counters.last_job_wall_seconds = wall;
+    counters.last_job_trainings = counters.total_trainings - trainings_before;
+    durable_.status = status;
     ServeMetrics& metrics = ServeMetrics::Get();
     metrics.submit_to_done_ns->Record(
         obs::MonotonicNanos() -
         enqueued_ns_.load(std::memory_order_relaxed));
     if (status.ok()) {
-      phase_ = SessionPhase::kDone;
+      durable_.phase = SessionPhase::kDone;
       metrics.jobs_done->Add();
     } else if (status.code() == StatusCode::kCancelled) {
-      phase_ = SessionPhase::kCancelled;
+      durable_.phase = SessionPhase::kCancelled;
       metrics.jobs_cancelled->Add();
     } else {
-      phase_ = SessionPhase::kFailed;
+      durable_.phase = SessionPhase::kFailed;
       metrics.jobs_failed->Add();
     }
     // Fold the job's round spans into the span tree the done frame (and
@@ -356,47 +341,13 @@ Status TuningSession::RunJob() {
     job_round_spans_.clear();
     tree.Set("rounds", std::move(rounds));
     last_trace_tree_ = std::move(tree);
-    json::Value event = json::Value::Object();
-    event.Set("event", "finish");
-    event.Set("phase", SessionPhaseName(phase_));
-    if (!last_status_.ok()) event.Set("error", last_status_.ToString());
-    // The trace id is part of the session's durable state: a restart must
-    // not make the closing poll forget which submit ran the last job (the
-    // load harness asserts the echo on clean sessions across kills).
-    const uint64_t finish_trace_id =
-        trace_id_.load(std::memory_order_relaxed);
-    if (finish_trace_id != 0) {
-      event.Set("trace_id", trace::FormatTraceId(finish_trace_id));
-    }
-    event.Set("jobs_run", jobs_run_);
-    event.Set("rounds_completed", rounds_completed_);
-    event.Set("total_trainings", total_trainings_);
-    event.Set("last_job_trainings", last_job_trainings_);
-    event.Set("last_job_wall_seconds", last_job_wall_seconds_);
-    event.Set("rows", rows_);
-    event.Set("next_round", next_round_index_);
-    if (!final_curve_b_.empty()) {
-      json::Value b = json::Value::Array();
-      json::Value a = json::Value::Array();
-      for (const double v : final_curve_b_) b.Append(v);
-      for (const double v : final_curve_a_) a.Append(v);
-      event.Set("curve_b", std::move(b));
-      event.Set("curve_a", std::move(a));
-    }
-    LogEventLocked(std::move(event));
-    phase_cv_.notify_all();
+    LogFinishLocked();
   }
   obs::Recorder::Global().RecordHere(
       obs::EventKind::kJobDone, static_cast<int64_t>(wall * 1e9));
   // Group commit: one fsync makes the whole job's records (acquires +
   // finish) durable together.
-  if (store_ != nullptr) {
-    const Status synced = store_->Sync();
-    if (!synced.ok()) {
-      ST_LOG(Warning) << "journal sync failed for session '" << name_
-                      << "': " << synced.ToString();
-    }
-  }
+  SyncJournal();
   return status;
 }
 
@@ -420,30 +371,28 @@ Status TuningSession::BuildWorld(const JobSpec& job) {
   std::lock_guard<std::mutex> lock(mu_);
   source_ = std::move(source);
   tuner_ = std::move(owned);
-  rows_ = static_cast<long long>(tuner_->train().size());
+  durable_.counters.rows = static_cast<long long>(tuner_->train().size());
+  // The world is a pure function of the job that built it — which is the
+  // creation job, unless the session was cancelled before ever running and
+  // re-armed with different parameters. Journal the job actually used so
+  // recovery replays the right world; a checkpoint cannot fall between the
+  // install and the record.
+  durable_.job = job;
+  durable_.world_built = true;
+  LogEventLocked(WorldEvent(durable_));
   return Status::OK();
 }
 
 Status TuningSession::ExecuteJob(const JobSpec& job) {
   if (tuner_ == nullptr) {
     ST_RETURN_NOT_OK(BuildWorld(job));
-    std::lock_guard<std::mutex> lock(mu_);
-    // The world is a pure function of the job that built it — which is the
-    // creation job, unless the session was cancelled before ever running
-    // and re-armed with different parameters. Journal the job actually
-    // used so recovery replays the right world.
-    creation_job_ = job;
-    json::Value event = json::Value::Object();
-    event.Set("event", "world");
-    event.Set("job", creation_job_.ToJson());
-    LogEventLocked(std::move(event));
   } else {
     if (source_ == nullptr) ST_RETURN_NOT_OK(WakeWorld());
     if (job.append_rows > 0) {
       // Incremental update: new rows for one slice arrive with the
       // resubmission. Only that slice's content hash changes, so the next
       // estimation partially refits instead of running cold.
-      const int round = next_round_index_;
+      const int round = durable_.next_round;
       source_->BeginRound(round);
       const Dataset batch = source_->Acquire(
           job.append_slice, static_cast<size_t>(job.append_rows));
@@ -453,11 +402,11 @@ Status TuningSession::ExecuteJob(const JobSpec& job) {
       // re-seeds as a pure function of (seed, round)).
       {
         std::lock_guard<std::mutex> lock(mu_);
-        ++next_round_index_;
+        ++durable_.next_round;
       }
       ST_RETURN_NOT_OK(tuner_->AppendTrainingData(batch));
       std::lock_guard<std::mutex> lock(mu_);
-      rows_ = static_cast<long long>(tuner_->train().size());
+      durable_.counters.rows = static_cast<long long>(tuner_->train().size());
       LogAcquireLocked(round, job.append_slice, job.append_rows);
     }
   }
@@ -466,7 +415,7 @@ Status TuningSession::ExecuteJob(const JobSpec& job) {
 
 Status TuningSession::ReplayAcquires() {
   int round = -1;
-  for (const AcquireRecord& record : acquire_log_) {
+  for (const AcquireRecord& record : durable_.acquires) {
     // BeginRound re-anchors the round's draw stream, so it must run once
     // per round — repeating it would replay the round's first draws
     // instead of continuing them.
@@ -482,7 +431,7 @@ Status TuningSession::ReplayAcquires() {
 
 Status TuningSession::WakeWorld() {
   source_ =
-      std::make_unique<sim::ScriptedSource>(ScenarioFromJob(creation_job_));
+      std::make_unique<sim::ScriptedSource>(ScenarioFromJob(durable_.job));
   tuner_->ReplaceRows(source_->GenerateInitial(),
                       source_->GenerateValidation());
   return ReplayAcquires();
@@ -497,19 +446,19 @@ Status TuningSession::RunRounds(const JobSpec& job) {
   for (int r = 0; r < job.rounds; ++r) {
     if (cancel_requested_.load(std::memory_order_relaxed)) {
       return Status::Cancelled(StrFormat(
-          "session '%s' cancelled after %d of %d rounds", name_.c_str(), r,
+          "session '%s' cancelled after %d of %d rounds", name().c_str(), r,
           job.rounds));
     }
-    source_->BeginRound(next_round_index_);
+    source_->BeginRound(durable_.next_round);
     obs::Recorder::Global().RecordHere(obs::EventKind::kRoundStart,
-                                       next_round_index_);
+                                       durable_.next_round);
 
     // One span per round: stage timers attribute the round's wall time to
     // estimate / plan / acquire, feed the process-wide serve_round_stage_ns
     // histograms, and the summary rides the round's progress frame.
     obs::Span round_span("round");
     sim::RoundTrace round;
-    round.round = next_round_index_;
+    round.round = durable_.next_round;
     round.budget = round_budget;
 
     std::vector<long long> allocation;
@@ -575,10 +524,11 @@ Status TuningSession::RunRounds(const JobSpec& job) {
     json::Value frame;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++rounds_completed_;
-      total_trainings_ += round.model_trainings;
-      rows_ = static_cast<long long>(tuner_->train().size());
-      frame = ProgressFrame(name_, frames_.size(),
+      SessionCounters& counters = durable_.counters;
+      ++counters.rounds_completed;
+      counters.total_trainings += round.model_trainings;
+      counters.rows = static_cast<long long>(tuner_->train().size());
+      frame = ProgressFrame(name(), frames_.size(),
                             sim::RoundTraceToJson(round));
       json::Value span_json = round_span.ToJson();
       span_json.Set("round", round.round);
@@ -592,7 +542,7 @@ Status TuningSession::RunRounds(const JobSpec& job) {
         if (round.acquired[s] <= 0) continue;
         LogAcquireLocked(round.round, static_cast<int>(s), round.acquired[s]);
       }
-      ++next_round_index_;
+      ++durable_.next_round;
     }
   }
 
@@ -608,12 +558,12 @@ Status TuningSession::RunRounds(const JobSpec& job) {
       ST_ASSIGN_OR_RETURN(curves, tuner_->EstimateCurves());
     }
     std::lock_guard<std::mutex> lock(mu_);
-    total_trainings_ += curves.model_trainings;
-    final_curve_b_.clear();
-    final_curve_a_.clear();
+    durable_.counters.total_trainings += curves.model_trainings;
+    durable_.curve_b.clear();
+    durable_.curve_a.clear();
     for (const SliceCurveEstimate& slice : curves.slices) {
-      final_curve_b_.push_back(slice.curve.b);
-      final_curve_a_.push_back(slice.curve.a);
+      durable_.curve_b.push_back(slice.curve.b);
+      durable_.curve_a.push_back(slice.curve.a);
     }
   }
   return Status::OK();
@@ -621,164 +571,57 @@ Status TuningSession::RunRounds(const JobSpec& job) {
 
 json::Value TuningSession::DurableState() const {
   std::lock_guard<std::mutex> lock(mu_);
-  json::Value out = json::Value::Object();
-  out.Set("name", name_);
-  out.Set("id", static_cast<long long>(id_));
-  out.Set("seq", static_cast<long long>(events_logged_));
-  out.Set("phase", SessionPhaseName(phase_));
-  const uint64_t trace_id_now = trace_id_.load(std::memory_order_relaxed);
-  if (trace_id_now != 0) {
-    out.Set("trace_id", trace::FormatTraceId(trace_id_now));
-  }
-  if (!last_status_.ok()) out.Set("error", last_status_.ToString());
-  out.Set("job", creation_job_.ToJson());
-  out.Set("world_built", tuner_ != nullptr);
-  out.Set("next_round", next_round_index_);
-  json::Value acquires = json::Value::Array();
-  for (const AcquireRecord& record : acquire_log_) {
-    json::Value item = json::Value::Array();
-    item.Append(record.round);
-    item.Append(record.slice);
-    item.Append(record.count);
-    acquires.Append(std::move(item));
-  }
-  out.Set("acquires", std::move(acquires));
-  json::Value counters = json::Value::Object();
-  counters.Set("jobs_run", jobs_run_);
-  counters.Set("rounds_completed", rounds_completed_);
-  counters.Set("total_trainings", total_trainings_);
-  counters.Set("last_job_trainings", last_job_trainings_);
-  counters.Set("last_job_wall_seconds", last_job_wall_seconds_);
-  counters.Set("rows", rows_);
-  out.Set("counters", std::move(counters));
-  if (!final_curve_b_.empty()) {
-    json::Value b = json::Value::Array();
-    json::Value a = json::Value::Array();
-    for (const double v : final_curve_b_) b.Append(v);
-    for (const double v : final_curve_a_) a.Append(v);
-    out.Set("curve_b", std::move(b));
-    out.Set("curve_a", std::move(a));
-  }
+  SessionRecord out = durable_;
+  out.trace_id = trace_id_.load(std::memory_order_relaxed);
   // The tuner (and its curve cache) may only be walked while no job runs.
   // Under mu_ with a non-running phase that is guaranteed: RunJob's first
   // transition to kRunning takes mu_, so it cannot start while we hold it.
-  if (phase_ != SessionPhase::kRunning && tuner_ != nullptr) {
-    out.Set("resting",
-            source_ != nullptr ? tuner_->SerializeResting() : resting_);
+  json::Value awake;
+  if (durable_.phase != SessionPhase::kRunning && tuner_ != nullptr) {
+    if (source_ != nullptr) awake = tuner_->SerializeResting();
+    out.resting = source_ != nullptr ? &awake : &resting_;
   }
-  return out;
+  return out.ToJson();
 }
 
 Result<std::unique_ptr<TuningSession>> TuningSession::Restore(
-    const json::Value& state, store::DurableStore* store,
+    const SessionRecord& record, store::DurableStore* store,
     size_t* warm_slices) {
   if (warm_slices != nullptr) *warm_slices = 0;
-  if (!state.is_object()) {
-    return Status::InvalidArgument("session state must be an object");
-  }
-  const json::Value* job_json = state.Find("job");
-  if (job_json == nullptr) {
-    return Status::InvalidArgument("session state for '" +
-                                   state.GetString("name") +
-                                   "' has no job");
-  }
-  ST_ASSIGN_OR_RETURN(const JobSpec job, JobSpec::FromJson(*job_json));
-  const uint64_t id = static_cast<uint64_t>(state.GetInt("id", 0));
-  // Constructed without the store so nothing is journaled during replay;
-  // the store is attached at the end for future events.
-  auto session = std::unique_ptr<TuningSession>(
-      new TuningSession(id, job, /*store=*/nullptr));
-
-  int last_replayed_round = -1;
-  if (state.GetBool("world_built", false)) {
-    ST_RETURN_NOT_OK(session->BuildWorld(job));
+  // Built without the store so nothing is journaled during replay; the
+  // store is attached at the end for future events.
+  auto session = std::unique_ptr<TuningSession>(new TuningSession(record));
+  if (record.world_built) {
+    ST_RETURN_NOT_OK(session->BuildWorld(record.job));
     // Replay the acquire log in order: each batch is re-derived from the
     // deterministic source, so the training rows come back bit-identical
     // without a single model training.
-    if (const json::Value* acquires = state.Find("acquires")) {
-      if (!acquires->is_array()) {
-        return Status::InvalidArgument("session acquires must be an array");
-      }
-      for (const json::Value& item : acquires->items()) {
-        if (!item.is_array() || item.size() != 3) {
-          return Status::InvalidArgument(
-              "acquire record must be [round, slice, n]");
-        }
-        const long long round = item.at(0).int_value();
-        const long long slice = item.at(1).int_value();
-        const long long count = item.at(2).int_value();
-        // A single round's allocation to one slice is bounded by the job
-        // budget (kMaxBudget at unit cost), not by the much smaller
-        // append_rows cap — a legitimately journaled big-budget round
-        // must replay.
-        if (round < last_replayed_round || slice < 0 ||
-            slice >= job.num_slices || count <= 0 ||
-            static_cast<double>(count) > JobSpec::kMaxBudget) {
-          return Status::InvalidArgument(StrFormat(
-              "acquire record [%lld, %lld, %lld] out of range", round,
-              slice, count));
-        }
-        last_replayed_round = static_cast<int>(round);
-        session->acquire_log_.push_back({static_cast<int>(round),
-                                         static_cast<int>(slice), count});
-      }
-    }
     ST_RETURN_NOT_OK(session->ReplayAcquires());
-    session->rows_ =
+    session->durable_.counters.rows =
         static_cast<long long>(session->tuner_->train().size());
     // Install the fitted-curve cache. Every entry is validated against the
     // content hash of the rows just replayed; entries that no longer match
     // (rows acquired after the snapshot, lost journal tail) silently stay
     // cold and re-fit on the next estimate.
-    if (const json::Value* resting = state.Find("resting")) {
+    if (record.resting != nullptr) {
       ST_ASSIGN_OR_RETURN(const size_t warm,
-                          session->tuner_->RestoreCurveCache(*resting));
+                          session->tuner_->RestoreCurveCache(*record.resting));
       if (warm_slices != nullptr) *warm_slices = warm;
     }
   }
-
-  if (const json::Value* counters = state.Find("counters")) {
-    session->jobs_run_ = static_cast<int>(counters->GetInt("jobs_run"));
-    session->rounds_completed_ =
-        static_cast<int>(counters->GetInt("rounds_completed"));
-    session->total_trainings_ = counters->GetInt("total_trainings");
-    session->last_job_trainings_ = counters->GetInt("last_job_trainings");
-    session->last_job_wall_seconds_ =
-        counters->GetDouble("last_job_wall_seconds");
+  SessionRecord& durable = session->durable_;
+  if (!IsTerminal(durable.phase)) {
+    // Its job died with the process: it comes back resumable.
+    durable.phase = SessionPhase::kCancelled;
+    durable.status = Status::Cancelled("interrupted by restart");
+  } else if (durable.phase == SessionPhase::kDone) {
+    durable.status = Status::OK();
+  } else if (durable.status.ok()) {
+    durable.status = durable.phase == SessionPhase::kFailed
+                         ? Status::Internal("restored failed session")
+                         : Status::Cancelled("interrupted by restart");
   }
-  session->next_round_index_ =
-      std::max(static_cast<int>(state.GetInt("next_round", 0)),
-               last_replayed_round + 1);
-  if (const json::Value* b = state.Find("curve_b")) {
-    for (const json::Value& v : b->items()) {
-      session->final_curve_b_.push_back(v.number_value());
-    }
-  }
-  if (const json::Value* a = state.Find("curve_a")) {
-    for (const json::Value& v : a->items()) {
-      session->final_curve_a_.push_back(v.number_value());
-    }
-  }
-
-  const std::string phase = state.GetString("phase");
-  const std::string error = state.GetString("error");
-  if (phase == "done") {
-    session->phase_ = SessionPhase::kDone;
-  } else if (phase == "failed") {
-    session->phase_ = SessionPhase::kFailed;
-    session->last_status_ =
-        Status::Internal(error.empty() ? "restored failed session" : error);
-  } else {
-    // cancelled — or a session that was queued/running when the state was
-    // captured: it comes back cancelled and resumable.
-    session->phase_ = SessionPhase::kCancelled;
-    session->last_status_ = Status::Cancelled(
-        error.empty() ? "interrupted by restart" : error);
-  }
-  session->events_logged_ = static_cast<uint64_t>(state.GetInt("seq", 0));
-  session->trace_id_.store(
-      trace::ParseTraceId(state.GetString("trace_id")),
-      std::memory_order_relaxed);
+  session->trace_id_.store(durable.trace_id, std::memory_order_relaxed);
   session->store_ = store;
   return session;
 }
@@ -881,8 +724,7 @@ size_t SessionManager::active_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t active = 0;
   for (const auto& session : sessions_) {
-    const SessionPhase p = session->phase();
-    if (p == SessionPhase::kQueued || p == SessionPhase::kRunning) ++active;
+    if (!session->Terminal()) ++active;
   }
   return active;
 }
@@ -970,148 +812,68 @@ json::Value SessionManager::DurableSnapshot() const {
   return out;
 }
 
-namespace {
-
-// Advances one merged session-state document by one journal record. The
-// state documents are DurableState()-shaped; events carry deltas
-// (acquires) or absolutes (finish counters), so applying each tail record
-// on top of the snapshot entry reproduces the pre-crash state.
-void ApplyJournalRecord(json::Value* entry, const json::Value& record) {
-  const std::string event = record.GetString("event");
-  if (event == "create") {
-    entry->Set("id", record.GetInt("id"));
-    if (const json::Value* job = record.Find("job")) {
-      entry->Set("job", *job);
-    }
-    entry->Set("phase", "queued");
-  } else if (event == "world") {
-    if (const json::Value* job = record.Find("job")) {
-      entry->Set("job", *job);
-    }
-    entry->Set("world_built", true);
-  } else if (event == "resume") {
-    entry->Set("phase", "queued");
-  } else if (event == "acquire") {
-    json::Value acquires = json::Value::Array();
-    if (const json::Value* existing = entry->Find("acquires")) {
-      acquires = *existing;
-    }
-    json::Value item = json::Value::Array();
-    item.Append(record.GetInt("round"));
-    item.Append(record.GetInt("slice"));
-    item.Append(record.GetInt("n"));
-    acquires.Append(std::move(item));
-    entry->Set("acquires", std::move(acquires));
-    entry->Set("world_built", true);
-  } else if (event == "finish") {
-    entry->Set("phase", record.GetString("phase"));
-    if (record.Has("error")) {
-      entry->Set("error", record.GetString("error"));
-    }
-    if (record.Has("trace_id")) {
-      entry->Set("trace_id", record.GetString("trace_id"));
-    }
-    json::Value counters = json::Value::Object();
-    counters.Set("jobs_run", record.GetInt("jobs_run"));
-    counters.Set("rounds_completed", record.GetInt("rounds_completed"));
-    counters.Set("total_trainings", record.GetInt("total_trainings"));
-    counters.Set("last_job_trainings", record.GetInt("last_job_trainings"));
-    counters.Set("last_job_wall_seconds",
-                 record.GetDouble("last_job_wall_seconds"));
-    counters.Set("rows", record.GetInt("rows"));
-    entry->Set("counters", std::move(counters));
-    entry->Set("next_round", record.GetInt("next_round"));
-    if (const json::Value* b = record.Find("curve_b")) {
-      entry->Set("curve_b", *b);
-    }
-    if (const json::Value* a = record.Find("curve_a")) {
-      entry->Set("curve_a", *a);
-    }
-    entry->Set("world_built", true);
-  } else if (event == "drop") {
-    entry->Set("dropped", true);
-  }
-}
-
-// One session name in the merge: the snapshot entry it starts from,
-// borrowed from the recovered tree, until a journal record applies to it
-// and it is copied out (or started over) into `owned`.
-struct MergedEntry {
-  std::string name;
-  const json::Value* base = nullptr;
-  json::Value owned;
-
-  const json::Value& state() const { return base != nullptr ? *base : owned; }
-  json::Value* Mutable() {
-    if (base != nullptr) {
-      owned = *base;
-      base = nullptr;
-    }
-    return &owned;
-  }
-};
-
-MergedEntry FreshEntry(const std::string& name) {
-  MergedEntry entry;
-  entry.name = name;
-  entry.owned = json::Value::Object();
-  entry.owned.Set("name", name);
-  entry.owned.Set("seq", 0);
-  return entry;
-}
-
-}  // namespace
-
 Result<RestoreReport> SessionManager::RestoreFromState(
     const store::RecoveredState& state, store::DurableStore* store,
     bool skip_existing) {
   RestoreReport report;
   report.tail_truncated = state.tail_truncated;
 
-  // Merge base: the snapshot's session entries, in snapshot order, then
-  // tail-only names in order of first appearance.
-  std::vector<MergedEntry> merged;
-  std::unordered_map<std::string, size_t> slot_of;  // name -> merged index
-  long long next_id = 1;
-  if (state.snapshot.is_object()) {
-    next_id = state.snapshot.GetInt("next_id", 1);
-    if (const json::Value* sessions = state.snapshot.Find("sessions")) {
-      for (const json::Value& entry : sessions->items()) {
-        if (!entry.is_object()) continue;
-        std::string name = entry.GetString("name");
-        if (name.empty() || !slot_of.emplace(name, merged.size()).second) {
-          continue;
-        }
-        merged.push_back({std::move(name), &entry, json::Value()});
-      }
-    }
-  }
+  // Fold: one SessionRecord per name, in snapshot order, then each
+  // tail-only name in order of its first record. A tail record the name's
+  // snapshot entry already holds (a lower seq of its incarnation, or an
+  // older incarnation) is skipped; the rest go through Apply, and the
+  // first one that does not conform stops the name until a create with a
+  // new id starts it over. A snapshot entry is parsed when a record first
+  // applies to it, or else by its rebuild on the pool; resting subtrees
+  // stay borrowed from `state`.
+  struct Slot {
+    SessionRecord record;
+    Status status;
+    const json::Value* entry = nullptr;  // snapshot entry not parsed yet
+    uint64_t covered_id = 0;
+    long long covered_seq = 0;
 
-  // Roll the journal tail forward. Each session's per-event sequence
-  // numbers say which records its snapshot entry already covers. Session
-  // names can be reused across incarnations (a dropped session's name is
-  // recreated with a fresh id): a create record whose id differs from the
-  // merged entry's starts the name over, so a stale drop flag or a higher
-  // old seq cannot swallow the new session.
+    void Parse() {
+      if (entry == nullptr) return;
+      Result<SessionRecord> parsed = SessionRecord::FromJson(*entry);
+      entry = nullptr;
+      status = parsed.status();
+      if (parsed.ok()) record = std::move(parsed).value();
+    }
+  };
+  std::vector<Slot> slots;
+  std::unordered_map<std::string, size_t> slot_of;
+  static const std::vector<json::Value> kNoEntries;
+  const json::Value* entries = state.snapshot.Find("sessions");
+  for (const json::Value& entry :
+       entries != nullptr ? entries->items() : kNoEntries) {
+    const std::string name = entry.GetString("name");
+    if (name.empty() || !slot_of.emplace(name, slots.size()).second) continue;
+    Slot& slot = slots.emplace_back();
+    slot.record.name = name;
+    slot.record.id = static_cast<uint64_t>(entry.GetInt("id", 0));
+    slot.entry = &entry;
+    slot.covered_id = slot.record.id;
+    slot.covered_seq = entry.GetInt("seq", 0);
+  }
   for (const json::Value& record : state.tail) {
     const std::string name = record.GetString("session");
     if (name.empty()) continue;
-    const long long seq = record.GetInt("seq", -1);
-    if (seq < 0) continue;
-    const auto slot = slot_of.emplace(name, merged.size());
-    if (slot.second) {
-      merged.push_back(FreshEntry(name));
-    } else if (record.GetString("event") == "create" &&
-               record.GetInt("id", -1) !=
-                   merged[slot.first->second].state().GetInt("id", -1)) {
-      merged[slot.first->second] = FreshEntry(name);
+    const auto [index, fresh] = slot_of.emplace(name, slots.size());
+    if (fresh) slots.emplace_back().record.name = name;
+    Slot& slot = slots[index->second];
+    const uint64_t id = static_cast<uint64_t>(record.GetInt("id", 0));
+    if (id == slot.covered_id ? record.GetInt("seq", -1) < slot.covered_seq
+                              : id < slot.covered_id) {
+      continue;
     }
-    MergedEntry& entry = merged[slot.first->second];
-    if (seq < entry.state().GetInt("seq", 0)) continue;  // snapshot has it
-    json::Value* advanced = entry.Mutable();
-    ApplyJournalRecord(advanced, record);
-    advanced->Set("seq", seq + 1);
-    ++report.journal_records_applied;
+    slot.Parse();
+    if (!slot.status.ok() && (record.GetString("event") != "create" ||
+                              id == slot.record.id)) {
+      continue;
+    }
+    slot.status = Apply(&slot.record, record);
+    if (slot.status.ok()) ++report.journal_records_applied;
   }
 
   // Claim the names this pass will materialize. Until a name is released
@@ -1119,18 +881,15 @@ Result<RestoreReport> SessionManager::RestoreFromState(
   // attaches a retry hint) and a concurrent restore pass leaves it alone —
   // so a submit arriving while `restore` runs under load can neither race
   // the rebuild nor create a duplicate session.
-  std::vector<size_t> claimed;  // merged indexes, in merged order
+  std::vector<Slot*> claimed;  // in fold order
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < merged.size(); ++i) {
-      const json::Value& entry = merged[i].state();
-      if (entry.GetBool("dropped", false)) {
+    for (Slot& session : slots) {
+      if (session.status.ok() && session.record.dropped) {
         ++report.sessions_dropped;
         continue;
       }
-      // The create event never became durable; there is nothing to rebuild.
-      if (!entry.Has("job")) continue;
-      const std::string& name = merged[i].name;
+      const std::string& name = session.record.name;
       if (restoring_names_.count(name) != 0 ||
           (skip_existing && by_name_.count(name) != 0)) {
         // Live already, or another concurrent restore pass owns the name.
@@ -1138,19 +897,23 @@ Result<RestoreReport> SessionManager::RestoreFromState(
         continue;
       }
       restoring_names_.insert(name);
-      claimed.push_back(i);
+      claimed.push_back(&session);
     }
   }
   if (restore_hook_) restore_hook_();
 
-  // Materialize: each rebuild is a pure function of its merged entry, so
-  // they fan out across the pool into per-index slots.
+  // Materialize: each rebuild is a pure function of its folded record, so
+  // they fan out across the pool into per-index slots. A name whose log
+  // does not conform fails here, alone.
   std::vector<std::unique_ptr<TuningSession>> rebuilt(claimed.size());
   std::vector<Status> failures(claimed.size());
   std::vector<size_t> warm(claimed.size(), 0);
   ParallelFor(claimed.size(), [&](size_t i) {
+    claimed[i]->Parse();
+    failures[i] = claimed[i]->status;
+    if (!failures[i].ok()) return;
     Result<std::unique_ptr<TuningSession>> restored =
-        TuningSession::Restore(merged[claimed[i]].state(), store, &warm[i]);
+        TuningSession::Restore(claimed[i]->record, store, &warm[i]);
     if (restored.ok()) {
       rebuilt[i] = std::move(restored).value();
     } else {
@@ -1160,17 +923,19 @@ Result<RestoreReport> SessionManager::RestoreFromState(
   for (size_t i = 0; i < claimed.size(); ++i) {
     if (failures[i].ok()) continue;
     // One undecodable session must not take down recovery of the rest.
-    ST_LOG(Warning) << "could not restore session '" << merged[claimed[i]].name
+    ST_LOG(Warning) << "could not restore session '"
+                    << claimed[i]->record.name
                     << "': " << failures[i].ToString();
   }
 
-  // Publish in merged order. An empty recovery still adopts the snapshot's
+  // Publish in fold order. An empty recovery still adopts the snapshot's
   // id allocator, and the claimed names become submittable again (restored
   // ones as live sessions, failed ones as fresh creates).
   std::lock_guard<std::mutex> lock(mu_);
-  next_id_ = std::max(next_id_, static_cast<uint64_t>(next_id));
+  next_id_ = std::max(
+      next_id_, static_cast<uint64_t>(state.snapshot.GetInt("next_id", 1)));
   for (size_t i = 0; i < claimed.size(); ++i) {
-    restoring_names_.erase(merged[claimed[i]].name);
+    restoring_names_.erase(claimed[i]->record.name);
     if (rebuilt[i] == nullptr) continue;
     next_id_ = std::max(next_id_, rebuilt[i]->id() + 1);
     AddLocked(std::move(rebuilt[i]));

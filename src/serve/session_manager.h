@@ -41,31 +41,12 @@
 #include "common/result.h"
 #include "core/slice_tuner.h"
 #include "serve/protocol.h"
+#include "serve/session_log.h"
 #include "sim/scripted_source.h"
 #include "store/store.h"
 
 namespace slicetuner {
 namespace serve {
-
-/// queued -> running -> done | cancelled | failed; terminal sessions can be
-/// resumed (back to queued) by a follow-up submit_job with the same key.
-enum class SessionPhase {
-  kQueued,
-  kRunning,
-  kDone,
-  kCancelled,
-  kFailed,
-};
-
-const char* SessionPhaseName(SessionPhase phase);
-
-/// One appended batch of training rows: enough to re-derive the exact rows
-/// from the session's deterministic data source on recovery.
-struct AcquireRecord {
-  int round = 0;
-  int slice = 0;
-  long long count = 0;
-};
 
 class TuningSession {
  public:
@@ -75,8 +56,9 @@ class TuningSession {
   explicit TuningSession(uint64_t id, JobSpec job,
                          store::DurableStore* store = nullptr);
 
-  uint64_t id() const { return id_; }
-  const std::string& name() const { return name_; }
+  // Fixed at construction, so readable without the session mutex.
+  uint64_t id() const { return durable_.id; }
+  const std::string& name() const { return durable_.name; }
 
   /// Executes the pending job: builds the data world on first run (or
   /// appends the resubmission's rows), then runs `rounds` estimate ->
@@ -105,9 +87,6 @@ class TuningSession {
   /// cancelled without running; a running one stops at the next round
   /// boundary.
   void RequestCancel();
-  bool cancel_requested() const {
-    return cancel_requested_.load(std::memory_order_relaxed);
-  }
 
   /// Re-arms a terminal session with a follow-up job (phase back to
   /// queued). Fails while the session is queued or running.
@@ -139,53 +118,57 @@ class TuningSession {
   /// (recovery then knows the name never became visible).
   void LogDropped();
 
-  /// Durable form of the session for a store snapshot: creation job,
-  /// acquire log, counters, closing curves, journal sequence number, and —
-  /// when the session is at rest — the tuner's serialized curve cache
-  /// (docs/STATE.md "session object"). Progress frames are deliberately
-  /// not durable; streams do not survive a restart.
+  /// Durable form of the session for a store snapshot: SessionRecord::
+  /// ToJson of its creation job, acquire log, counters, closing curves,
+  /// journal sequence number, and — when the session is at rest — the
+  /// tuner's serialized curve cache (docs/STATE.md "Snapshot format"). Progress
+  /// frames are deliberately not durable; streams do not survive a restart.
   json::Value DurableState() const;
 
-  /// Rebuilds a session from a DurableState()-shaped document (a snapshot
-  /// entry, possibly advanced by journal replay): re-derives the training
-  /// rows from the creation job + acquire log, installs the curve cache
+  /// Rebuilds a session from a SessionRecord (a snapshot entry, possibly
+  /// advanced by journal records through Apply): re-derives the training
+  /// rows from the job + acquire log, installs the borrowed curve cache
   /// (each entry validated against the re-derived rows' content hashes),
-  /// and restores counters and phase. A session that was queued or running
-  /// when the state was captured comes back cancelled ("interrupted by
-  /// restart") and can be resumed by the next submit. `warm_slices` (out,
-  /// optional) reports how many slices restored with a hot curve cache.
+  /// and restores counters, phase and status. A session that was queued or
+  /// running when the state was captured comes back cancelled
+  /// ("interrupted by restart") and can be resumed by the next submit.
+  /// `warm_slices` (out, optional) reports how many slices restored with a
+  /// hot curve cache.
   static Result<std::unique_ptr<TuningSession>> Restore(
-      const json::Value& state, store::DurableStore* store,
+      const SessionRecord& record, store::DurableStore* store,
       size_t* warm_slices = nullptr);
 
  private:
+  /// A session rebuilt from `record`; journals nothing.
+  explicit TuningSession(const SessionRecord& record);
+
   Status ExecuteJob(const JobSpec& job);
   Status RunRounds(const JobSpec& job);
-  void Finish(const Status& status);
-  void AppendFrame(json::Value frame);
-  /// Builds the session's data world from its creation job (cold path of
-  /// ExecuteJob and the recovery replay). Sets source_/tuner_/rows_.
+  /// Builds the data world from `job`, and in one locked section installs
+  /// it, makes `job` the durable job and journals the world record (cold
+  /// path of ExecuteJob and the recovery replay).
   Status BuildWorld(const JobSpec& job);
   /// Re-derives the rows acquired since the world was built, in log order.
   Status ReplayAcquires();
   /// Regenerates a resting session's rows from a fresh source.
   Status WakeWorld();
-  /// Appends one journal event (requires mu_ held; no-op without a store).
-  /// Adds session/id/seq envelope fields and advances the sequence number.
-  void LogEventLocked(json::Value event);
-  /// Records one acquisition in acquire_log_ and journals it (mu_ held).
+  /// Appends one record built by session_log.h for durable_ (requires mu_
+  /// held; no-op without a store) and advances durable_.seq, also when the
+  /// append fails: recovery then names the gap.
+  void LogEventLocked(const json::Value& record);
+  /// Records one acquisition in durable_.acquires and journals it (mu_ held).
   void LogAcquireLocked(int round, int slice, long long count);
+  /// Journals the finish record of the phase and status just set (mu_ held).
+  void LogFinishLocked();
+  /// Makes the job's records durable together (one fsync; no-op without a
+  /// store).
+  void SyncJournal();
 
-  const uint64_t id_;
-  const std::string name_;
   store::DurableStore* store_ = nullptr;  // not owned; may be null
-  JobSpec creation_job_;
 
   mutable std::mutex mu_;
   mutable std::condition_variable phase_cv_;
-  SessionPhase phase_ = SessionPhase::kQueued;
   JobSpec pending_job_;
-  Status last_status_;
   std::vector<json::Value> frames_;
   std::atomic<bool> cancel_requested_{false};
   // When the job was submitted (creation or Resume): the anchor for the
@@ -205,25 +188,13 @@ class TuningSession {
   std::unique_ptr<SliceTuner> tuner_;
   std::unique_ptr<sim::ScriptedSource> source_;
   json::Value resting_;
-  // Monotone across jobs: keeps draws fresh. Written under mu_ as well,
-  // because DurableState reads it while a job runs.
-  int next_round_index_ = 0;
 
-  // Acquisitions since the world was built (guarded by mu_).
-  std::vector<AcquireRecord> acquire_log_;
-  uint64_t events_logged_ = 0;  // journal sequence number of the next event
-
-  // Counters (guarded by mu_).
-  int jobs_run_ = 0;
-  int rounds_completed_ = 0;
-  long long total_trainings_ = 0;
-  long long last_job_trainings_ = 0;
-  double last_job_wall_seconds_ = 0.0;
-  long long rows_ = 0;
-  // Curves fitted on the session's resting data by the job's closing
-  // estimate (surfaced through Snapshot).
-  std::vector<double> final_curve_b_;
-  std::vector<double> final_curve_a_;
+  // Everything a snapshot or the journal holds of the session, guarded by
+  // mu_: phase, last status, durable job, acquire log, next round index
+  // (monotone across jobs, keeps draws fresh), counters, closing curves and
+  // the next journal seq. The job thread also reads it without mu_, since
+  // only it writes while a job runs. trace_id is copied in at finish.
+  SessionRecord durable_;
   // Copy of the curve engine's counters taken at job boundaries. Snapshot
   // reads this instead of engine.stats() so a poll never waits on the
   // engine lock a running estimation holds.
@@ -304,16 +275,19 @@ class SessionManager {
   /// serving traffic; existing sessions are not retrofitted.
   void AttachStore(store::DurableStore* store);
 
-  /// Materializes sessions from recovered state: merges the snapshot's
-  /// session entries with the journal tail (per-session sequence numbers
-  /// decide which tail records the snapshot already covers), then rebuilds
-  /// each surviving session via TuningSession::Restore, in parallel across
-  /// the shared pool. The rebuilt sessions join the registry together, in
-  /// merged order (snapshot order, then first appearance in the tail),
-  /// whatever the thread count. With `skip_existing`, names already
-  /// registered are left untouched (the runtime `restore` verb); startup
-  /// recovery passes false on an empty registry. Restored sessions journal
-  /// future events through `store`.
+  /// Materializes sessions from recovered state: folds the snapshot's
+  /// session entries and the journal tail into one SessionRecord per name
+  /// (per-session sequence numbers decide which tail records the snapshot
+  /// already covers; Apply checks the rest against the session automaton,
+  /// docs/STATE.md), then rebuilds each surviving session via
+  /// TuningSession::Restore, in parallel across the shared pool. A session
+  /// whose log does not conform is logged and left out, like any failed
+  /// rebuild; the others still restore. The rebuilt sessions join the
+  /// registry together, in merged order (snapshot order, then first
+  /// appearance in the tail), whatever the thread count. With
+  /// `skip_existing`, names already registered are left untouched (the
+  /// runtime `restore` verb); startup recovery passes false on an empty
+  /// registry. Restored sessions journal future events through `store`.
   Result<RestoreReport> RestoreFromState(const store::RecoveredState& state,
                                          store::DurableStore* store,
                                          bool skip_existing);

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -16,7 +17,9 @@
 #include <vector>
 
 #include "common/fs_util.h"
+#include "common/string_util.h"
 #include "gtest/gtest.h"
+#include "serve/session_log.h"
 #include "serve/session_manager.h"
 #include "store/store.h"
 
@@ -632,6 +635,272 @@ TEST(StoreRecoveryTest, ManySessionsRestoreDeterministically) {
   ST_CHECK_OK(fresh.status());
   EXPECT_EQ(recovered.stats().created, created_before + 1);
   EXPECT_EQ((*fresh)->id(), static_cast<uint64_t>(next_id_before));
+}
+
+// A job whose data world cannot be built: Register would resolve the
+// omitted slice count, a session built directly keeps it, so BuildWorld
+// fails and the session ends `failed` through the live path.
+JobSpec FailingJob(const std::string& session) {
+  JobSpec job = ColdJob(session);
+  job.num_slices = 0;
+  return job;
+}
+
+// Runs a many-round job on another thread and calls `mid_job` once the
+// first round has streamed its frame, while the job still runs.
+void RunWithMidJobHook(TuningSession* session,
+                       const std::function<void()>& mid_job) {
+  std::thread runner([session] { (void)session->RunJob(); });
+  while (session->FrameCount() == 0 && !session->Terminal()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  mid_job();
+  runner.join();
+}
+
+JobSpec LongJob(const std::string& session) {
+  JobSpec job = ColdJob(session);
+  job.rounds = 40;
+  job.budget = 80.0;
+  return job;
+}
+
+// The document without its "resting" member.
+std::string DumpWithoutResting(const json::Value& state) {
+  json::Value out = json::Value::Object();
+  for (const auto& [key, value] : state.members()) {
+    if (key != "resting") out.Set(key, value);
+  }
+  return out.Dump();
+}
+
+// A restore writes back the stored error text unchanged: a cancelled and a
+// failed session survive two restore + snapshot cycles byte for byte.
+TEST(StoreRecoveryTest, RestoredErrorsStayStableAcrossRestarts) {
+  const std::string dir = FreshDir("stable_errors");
+  {
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(store.status());
+    SessionManager manager;
+    manager.AttachStore(store->get());
+    const Result<TuningSession*> cancelled = manager.Register(ColdJob("c"));
+    ST_CHECK_OK(cancelled.status());
+    (*cancelled)->RequestCancel();
+    EXPECT_EQ((*cancelled)->RunJob().code(), StatusCode::kCancelled);
+    TuningSession failed(1000, FailingJob("f"), store->get());
+    EXPECT_EQ(failed.RunJob().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(failed.phase(), SessionPhase::kFailed);
+  }
+  Result<store::RecoveredState> state = store::ReadStateDir(dir);
+  ST_CHECK_OK(state.status());
+  std::map<std::string, std::string> first;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    SessionManager manager;
+    const Result<RestoreReport> report =
+        manager.RestoreFromState(*state, nullptr, /*skip_existing=*/false);
+    ST_CHECK_OK(report.status());
+    ASSERT_EQ(report->sessions_restored, 2u);
+    for (const char* name : {"c", "f"}) {
+      const std::string dump = manager.Find(name)->DurableState().Dump();
+      if (cycle == 0) first[name] = dump;
+      EXPECT_EQ(dump, first[name]) << "cycle " << cycle;
+    }
+    EXPECT_EQ(manager.Find("c")->last_status().ToString(),
+              "Cancelled: cancelled before start");
+    EXPECT_EQ(manager.Find("f")->last_status().ToString(),
+              "InvalidArgument: ScenarioSpec: num_slices must be > 0");
+    *state = store::RecoveredState();
+    state->snapshot = manager.DurableSnapshot();
+  }
+}
+
+// The live session and the fold of its own log agree: for each way a job
+// can end, and across a checkpoint taken mid-job, DurableState() at rest
+// equals ToJson of the session's snapshot entry advanced by Apply over its
+// journal tail.
+TEST(StoreRecoveryTest, LiveSessionEqualsFoldOfItsLog) {
+  const std::string dir = FreshDir("live_equals_fold");
+  std::map<std::string, std::string> live;
+  {
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(store.status());
+    SessionManager manager;
+    manager.AttachStore(store->get());
+    MustRegisterAndRun(&manager, ColdJob("cold"));
+    MustRegisterAndRun(&manager, ColdJob("append"));
+    MustRegisterAndRun(&manager, AppendJob("append"));
+    const Result<TuningSession*> early = manager.Register(ColdJob("early"));
+    ST_CHECK_OK(early.status());
+    (*early)->RequestCancel();
+    EXPECT_EQ((*early)->RunJob().code(), StatusCode::kCancelled);
+    const Result<TuningSession*> mid = manager.Register(LongJob("mid"));
+    ST_CHECK_OK(mid.status());
+    RunWithMidJobHook(*mid, [&] { (*mid)->RequestCancel(); });
+    EXPECT_EQ((*mid)->phase(), SessionPhase::kCancelled);
+    TuningSession failed(1000, FailingJob("failed"), store->get());
+    EXPECT_EQ(failed.RunJob().code(), StatusCode::kInvalidArgument);
+    const Result<TuningSession*> checkpointed =
+        manager.Register(LongJob("checkpointed"));
+    ST_CHECK_OK(checkpointed.status());
+    RunWithMidJobHook(*checkpointed, [&] {
+      EXPECT_FALSE((*checkpointed)->Terminal());
+      ST_CHECK_OK((*store)->WriteSnapshot(manager.DurableSnapshot()));
+    });
+    EXPECT_EQ((*checkpointed)->phase(), SessionPhase::kDone);
+    for (const char* name :
+         {"cold", "append", "early", "mid", "checkpointed"}) {
+      live[name] = DumpWithoutResting(manager.Find(name)->DurableState());
+    }
+    live["failed"] = DumpWithoutResting(failed.DurableState());
+  }
+
+  const Result<store::RecoveredState> state = store::ReadStateDir(dir);
+  ST_CHECK_OK(state.status());
+  for (const auto& [name, expected] : live) {
+    SessionRecord folded;
+    for (const json::Value& entry : state->snapshot.Find("sessions")->items()) {
+      if (entry.GetString("name") != name) continue;
+      Result<SessionRecord> parsed = SessionRecord::FromJson(entry);
+      ST_CHECK_OK(parsed.status());
+      folded = std::move(parsed).value();
+    }
+    const long long covered = static_cast<long long>(folded.seq);
+    for (const json::Value& record : state->tail) {
+      if (record.GetString("session") != name ||
+          record.GetInt("seq") < covered) {
+        continue;
+      }
+      ST_CHECK_OK(Apply(&folded, record));
+    }
+    folded.resting = nullptr;
+    EXPECT_EQ(folded.ToJson().Dump(), expected) << name;
+  }
+}
+
+// Renumbers one session's records 0, 1, 2, ... so only the mutation under
+// test, not a seq mismatch, breaks the log.
+std::vector<json::Value> Renumbered(std::vector<json::Value> records) {
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].Set("seq", static_cast<long long>(i));
+  }
+  return records;
+}
+
+// Mutated journals never restore a divergent session: the first record
+// that breaks the session automaton is named (session, seq, event), the
+// session does not restore, and a clean session beside it still does.
+TEST(StoreRecoveryTest, MutatedJournalsAreNamedAndNeverRestoreDiverged) {
+  const std::string dir = FreshDir("mutated");
+  {
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(store.status());
+    SessionManager manager;
+    manager.AttachStore(store->get());
+    JobSpec two_rounds = ColdJob("m");
+    two_rounds.rounds = 2;
+    two_rounds.budget = 80.0;
+    MustRegisterAndRun(&manager, two_rounds);
+    MustRegisterAndRun(&manager, AppendJob("m"));
+    MustRegisterAndRun(&manager, ColdJob("clean"));
+  }
+  const Result<store::RecoveredState> recovered = store::ReadStateDir(dir);
+  ST_CHECK_OK(recovered.status());
+  std::vector<json::Value> log;
+  std::vector<json::Value> clean;
+  for (const json::Value& record : recovered->tail) {
+    (record.GetString("session") == "m" ? log : clean).push_back(record);
+  }
+  const auto index_of = [&log](const char* event, size_t from = 0) {
+    for (size_t i = from; i < log.size(); ++i) {
+      if (log[i].GetString("event") == event) return i;
+    }
+    ADD_FAILURE() << "no " << event << " record";
+    return size_t{0};
+  };
+  const size_t world = index_of("world");
+  const size_t acquire = index_of("acquire");
+  const size_t finish = index_of("finish");
+  // Two adjacent acquires of different rounds.
+  size_t boundary = acquire;
+  while (boundary + 1 < log.size() &&
+         !(log[boundary + 1].GetString("event") == "acquire" &&
+           log[boundary + 1].GetInt("round") > log[boundary].GetInt("round"))) {
+    ++boundary;
+  }
+  ASSERT_LT(boundary + 1, log.size());
+
+  struct Mutation {
+    const char* what;
+    std::vector<json::Value> records;
+    size_t bad;  // index of the first record that must be rejected
+    const char* reason;
+  };
+  std::vector<Mutation> mutations;
+  const auto erase = [&log](size_t i) {
+    std::vector<json::Value> out = log;
+    out.erase(out.begin() + static_cast<long>(i));
+    return out;
+  };
+  std::vector<json::Value> swapped = log;
+  std::swap(swapped[boundary], swapped[boundary + 1]);
+  std::vector<json::Value> duplicated = log;
+  duplicated.insert(duplicated.begin() + static_cast<long>(finish) + 1,
+                    log[finish]);
+  std::vector<json::Value> early = log;
+  early.insert(early.begin(), log[acquire]);
+  early.erase(early.begin() + static_cast<long>(acquire) + 1);
+  std::vector<json::Value> unknown = log;
+  unknown[world].Set("event", "teleport");
+  mutations.push_back({"dropped world", erase(world), world, "gap"});
+  mutations.push_back({"swapped acquires", swapped, boundary, "gap"});
+  mutations.push_back(
+      {"duplicated finish", duplicated, finish + 1, "duplicate"});
+  mutations.push_back({"seq gap", erase(acquire), acquire, "gap"});
+  mutations.push_back({"acquire before create", early, 0, "no create record"});
+  mutations.push_back({"unknown event", unknown, world, "unknown event"});
+  // The same mutations with consecutive seqs reach the automaton's other
+  // rules.
+  mutations.push_back({"dropped world, renumbered",
+                       Renumbered(erase(world)), world, "no data world"});
+  mutations.push_back({"swapped acquires, renumbered", Renumbered(swapped),
+                       boundary + 1, "round below the previous"});
+  mutations.push_back({"duplicated finish, renumbered",
+                       Renumbered(duplicated), finish + 1, "no open job"});
+
+  for (const Mutation& mutation : mutations) {
+    SCOPED_TRACE(mutation.what);
+    SessionRecord folded;
+    Status status;
+    size_t i = 0;
+    for (; i < mutation.records.size(); ++i) {
+      status = Apply(&folded, mutation.records[i]);
+      if (!status.ok()) break;
+    }
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(i, mutation.bad);
+    const json::Value& bad = mutation.records[mutation.bad];
+    const std::string named =
+        StrFormat("session 'm' seq %lld event '%s'", bad.GetInt("seq"),
+                  bad.GetString("event").c_str());
+    EXPECT_NE(status.message().find(named), std::string::npos) << status;
+    EXPECT_NE(status.message().find(mutation.reason), std::string::npos)
+        << status;
+
+    store::RecoveredState state;
+    state.tail = mutation.records;
+    state.tail.insert(state.tail.end(), clean.begin(), clean.end());
+    SessionManager manager;
+    const Result<RestoreReport> report =
+        manager.RestoreFromState(state, nullptr, /*skip_existing=*/false);
+    ST_CHECK_OK(report.status());
+    EXPECT_EQ(report->sessions_restored, 1u);
+    EXPECT_EQ(manager.Find("m"), nullptr);
+    ASSERT_NE(manager.Find("clean"), nullptr);
+    EXPECT_EQ(manager.Find("clean")->phase(), SessionPhase::kDone);
+  }
 }
 
 }  // namespace
